@@ -65,7 +65,7 @@ int main() {
   std::printf("  %-22s %16s %14.1f %12.0f\n", "SQL dump (paper)",
               util::humanBytes(dump.resultBytes).c_str(), dump.collectSec,
               dump.wallMs);
-  std::printf("  %-22s %16s %14.1f %12.0f\n", "binary row codec",
+  std::printf("  %-22s %16s %14.1f %12.0f\n", "binary column codec",
               util::humanBytes(binary.resultBytes).c_str(), binary.collectSec,
               binary.wallMs);
   if (dump.rows != binary.rows) {

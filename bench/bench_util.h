@@ -48,7 +48,10 @@ struct PaperSetupOptions {
   int realWorkers = 8;     ///< in-process workers actually executing
   int numStripes = 85;     ///< paper partitioning geometry
   int numSubStripes = 12;
-  core::WorkerConfig workerConfig;
+  /// Paper fidelity: the figure benches keep the mysqldump transfer of §5.4
+  /// (the library default is binary), because the result bytes a worker
+  /// reports feed the virtual-time cost model behind the published figures.
+  core::WorkerConfig workerConfig{.transfer = core::TransferFormat::kSqlDump};
   datagen::BasePatchOptions basePatch;  ///< objectCount is overridden
   int dispatchParallelism = 16;  ///< frontend in-flight chunk queries
   /// Paper fidelity by default: the figure benches reproduce the published

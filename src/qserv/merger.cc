@@ -5,7 +5,6 @@
 #include "sql/rowcodec.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
-#include "util/strings.h"
 
 namespace qserv::core {
 
@@ -35,10 +34,6 @@ ResultMerger::ResultMerger(std::string mergeTable, util::TracePtr trace)
     : db_("merge"), mergeTable_(std::move(mergeTable)),
       trace_(std::move(trace)) {}
 
-ResultMerger::~ResultMerger() {
-  (void)db_.execute("DROP TABLE IF EXISTS " + mergeTable_);
-}
-
 util::Status ResultMerger::mergeDump(const std::string& dump) {
   auto& metrics = MergerMetrics::instance();
   util::Stopwatch watch;
@@ -51,57 +46,43 @@ util::Status ResultMerger::mergeDump(const std::string& dump) {
     span.attr("error", integrity.toString());
     return integrity;
   }
-  // Workers may ship either the paper's SQL-dump stream or the §7.1 binary
-  // codec; the magic prefix disambiguates.
+  // Workers ship either the §7.1 binary codec or the paper's SQL-dump
+  // stream; the magic prefix disambiguates.
   sql::TablePtr loaded;
   if (sql::isBinaryTablePayload(dump)) {
     metrics.binaryPayloads.add();
-    QSERV_ASSIGN_OR_RETURN(loaded, sql::loadBinaryTable(db_, dump));
+    QSERV_ASSIGN_OR_RETURN(loaded, sql::decodeTableBinary(dump));
   } else {
+    // A dump replays into the catalog (DROP + CREATE + INSERT); take its
+    // table back out so both formats merge the same way.
     QSERV_ASSIGN_OR_RETURN(loaded, sql::loadDump(db_, dump));
+    QSERV_RETURN_IF_ERROR(db_.dropTable(loaded->name()));
   }
-  std::string tmp = loaded->name();
   util::Status status = util::Status::ok();
-  if (!created_) {
-    // Adopt the first dump's table as the merge table: a rename in the
-    // catalog, not a row copy.
-    status = db_.renameTable(tmp, mergeTable_);
-    created_ = status.isOk();
+  if (!merge_) {
+    // Adopt the first chunk's table as the merge table, not a row copy.
+    loaded->rename(mergeTable_);
+    status = db_.registerTable(loaded);
+    if (status.isOk()) merge_ = loaded;
   } else {
-    sql::TablePtr merge = db_.findTable(mergeTable_);
-    if (!merge) {
-      status = util::Status::internal(
-          util::format("merge table %s disappeared", mergeTable_.c_str()));
-    } else {
-      // Typed column-to-column append; rejects mismatched schemas exactly
-      // like the old INSERT ... SELECT did.
-      status = merge->appendFrom(*loaded);
-    }
+    // Typed column-to-column append; rejects mismatched schemas exactly
+    // like the old INSERT ... SELECT did.
+    status = merge_->appendFrom(*loaded);
   }
   if (status.isOk()) {
     rowsMerged_ += loaded->numRows();
     metrics.rowsMerged.add(loaded->numRows());
   }
-  // No-op after a successful adopt (tmp was renamed away).
-  (void)db_.execute("DROP TABLE IF EXISTS " + tmp);
   metrics.dumpsReplayed.add();
   metrics.dumpReplaySeconds.observe(watch.elapsedSeconds());
   span.attr("rows", static_cast<std::int64_t>(loaded->numRows()));
   return status;
 }
 
-util::Status ResultMerger::mergeBinary(const std::string& payload) {
-  if (!sql::isBinaryTablePayload(payload)) {
-    return util::Status::invalidArgument(
-        "mergeBinary: payload is not in binary rowcodec format");
-  }
-  return mergeDump(payload);
-}
-
 util::Result<sql::TablePtr> ResultMerger::finalize(
     const std::string& finalSelectSql) {
   util::ScopedSpan span(trace_, "merger", "finalize");
-  if (!created_) {
+  if (!merge_) {
     // No chunk produced anything (e.g. zero chunks dispatched): an empty
     // result with no schema.
     return std::make_shared<sql::Table>("result", sql::Schema{});

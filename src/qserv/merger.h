@@ -8,6 +8,12 @@
 /// result table for non-aggregating queries. When aggregation is needed, an
 /// aggregation query is executed on this table to produce the final result
 /// table."
+///
+/// That SQL-dump replay is kept for paper fidelity; by default workers ship
+/// the column-major binary codec of sql/rowcodec.h (§7.1's "more efficient
+/// method"), which decodes straight into typed columns. Either way the
+/// first chunk's table is adopted as the merge table and later chunks are
+/// appended column by column.
 #pragma once
 
 #include <string>
@@ -25,20 +31,15 @@ class ResultMerger {
   /// the "merger" component.
   explicit ResultMerger(std::string mergeTable,
                         util::TracePtr trace = nullptr);
-  ~ResultMerger();
 
   ResultMerger(const ResultMerger&) = delete;
   ResultMerger& operator=(const ResultMerger&) = delete;
 
-  /// Replay one chunk dump and fold its rows into the merge table. Accepts
-  /// both the paper's SQL-dump stream and the §7.1 binary codec (the magic
-  /// prefix disambiguates).
+  /// Decode one chunk result and fold its rows into the merge table.
+  /// Accepts both the §7.1 binary codec and the paper's SQL-dump stream
+  /// (the magic prefix disambiguates). Binary payloads never touch the SQL
+  /// engine: no temp table is registered, renamed or dropped.
   util::Status mergeDump(const std::string& dump);
-
-  /// Binary-only merge used by the batched streaming path: identical to
-  /// mergeDump but rejects a payload that is not in rowcodec format instead
-  /// of silently replaying SQL text.
-  util::Status mergeBinary(const std::string& payload);
 
   /// Run the final SELECT (plain union passthrough or the aggregation
   /// query) against the merge table.
@@ -51,7 +52,7 @@ class ResultMerger {
   sql::Database db_;
   std::string mergeTable_;
   util::TracePtr trace_;
-  bool created_ = false;
+  sql::TablePtr merge_;  ///< null until the first chunk result is adopted
   std::uint64_t rowsMerged_ = 0;
 };
 

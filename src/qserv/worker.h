@@ -39,8 +39,12 @@
 namespace qserv::core {
 
 enum class TransferFormat {
-  kSqlDump,  ///< paper behaviour: mysqldump-style SQL statements (§5.4)
-  kBinary,   ///< the §7.1 "more efficient method": compact row codec
+  /// Paper behaviour: mysqldump-style SQL statements (§5.4). Kept only for
+  /// paper fidelity (bench_transfer and the figure benches).
+  kSqlDump,
+  /// The §7.1 "more efficient method": the column-major binary codec of
+  /// sql/rowcodec.h. The default.
+  kBinary,
 };
 
 /// Shared state of one batched dispatch (/batch/<id>): its chunk tasks
@@ -58,7 +62,9 @@ struct BatchStream {
 struct WorkerConfig {
   int slots = 4;  ///< concurrent chunk queries (paper §6.2)
   SchedulerMode scheduler = SchedulerMode::kFifo;
-  TransferFormat transfer = TransferFormat::kSqlDump;
+  /// Result encoding: binary by default, so no chunk result is formatted
+  /// as SQL text or re-parsed by the merger.
+  TransferFormat transfer = TransferFormat::kBinary;
   bool cacheSubchunks = false;
   /// Real rows -> paper rows multiplier for the cost model (our tables are
   /// scaled down; observables are reported at paper scale).

@@ -73,31 +73,6 @@ util::Status Database::dropTable(const std::string& table, bool ifExists) {
   return util::Status::ok();
 }
 
-util::Status Database::renameTable(const std::string& from,
-                                   const std::string& to) {
-  std::unique_lock lock(mutex_);
-  auto it = tables_.find(from);
-  if (it == tables_.end()) {
-    return util::Status::notFound(
-        util::format("unknown table %s", from.c_str()));
-  }
-  if (tables_.count(to) != 0) {
-    return util::Status::alreadyExists(
-        util::format("table %s already exists", to.c_str()));
-  }
-  TablePtr table = std::move(it->second);
-  tables_.erase(it);
-  table->rename(to);
-  tables_.emplace(to, std::move(table));
-  auto idx = indexes_.find(from);
-  if (idx != indexes_.end()) {
-    auto moved = std::move(idx->second);
-    indexes_.erase(idx);
-    indexes_.emplace(to, std::move(moved));
-  }
-  return util::Status::ok();
-}
-
 TablePtr Database::findTable(const std::string& table) const {
   std::shared_lock lock(mutex_);
   auto it = tables_.find(table);

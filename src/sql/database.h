@@ -75,12 +75,6 @@ class Database {
   /// Remove a table and its indexes.
   util::Status dropTable(const std::string& table, bool ifExists = false);
 
-  /// Rename a table in place, carrying its indexes along. Fails with
-  /// kNotFound when \p from is absent and kAlreadyExists when \p to is
-  /// taken. The merger uses this to adopt the first chunk dump's table as
-  /// the merge table instead of copying it row by row.
-  util::Status renameTable(const std::string& from, const std::string& to);
-
   /// Find a table; nullptr when absent. Lookup is exact (case-sensitive),
   /// like MySQL table names on Unix.
   TablePtr findTable(const std::string& table) const;

@@ -1,65 +1,83 @@
 #include "sql/rowcodec.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
-
-#include "util/strings.h"
 
 namespace qserv::sql {
 
 namespace {
 
-void putU16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>(v >> 8));
+static_assert(static_cast<int>(ColumnType::kString) == 2);  // wire code
+
+/// Reverse the bytes of each of \p n elements of \p size bytes: arrays
+/// travel little-endian, so only a big-endian host pays for this.
+void toWireOrder(char* data, std::size_t n, std::size_t size) {
+  if constexpr (std::endian::native == std::endian::big) {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::reverse(data + i * size, data + (i + 1) * size);
+    }
+  }
 }
 
-void putU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+template <typename T>
+void putArray(std::string& out, const T* data, std::size_t n) {
+  const std::size_t at = out.size();
+  out.append(reinterpret_cast<const char*>(data), n * sizeof(T));
+  toWireOrder(out.data() + at, n, sizeof(T));
 }
 
-void putU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
+template <typename T>
+void put(std::string& out, T v) { putArray(out, &v, 1); }
 
+/// Bounds-checked cursor: every read first checks that the bytes are
+/// there, so a damaged count fails before anything is allocated.
 class Reader {
  public:
   explicit Reader(std::string_view data) : data_(data) {}
 
-  bool take(void* out, std::size_t n) {
-    if (pos_ + n > data_.size()) return false;
-    std::memcpy(out, data_.data() + pos_, n);
+  std::size_t remaining() const { return data_.size() - pos_; }
+
+  bool bytes(std::string_view& out, std::size_t n) {
+    if (n > remaining()) return false;
+    out = data_.substr(pos_, n);
     pos_ += n;
     return true;
   }
-  bool u8(std::uint8_t& v) { return take(&v, 1); }
-  bool u16(std::uint16_t& v) {
-    std::uint8_t b[2];
-    if (!take(b, 2)) return false;
-    v = static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-    return true;
+  template <typename T>
+  bool get(T& v) { return array(&v, 1); }
+  template <typename T>
+  bool vec(std::vector<T>& out, std::size_t n) {
+    if (n > remaining() / sizeof(T)) return false;
+    out.resize(n);
+    return array(out.data(), n);
   }
-  bool u32(std::uint32_t& v) {
-    std::uint8_t b[4];
-    if (!take(b, 4)) return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | b[i];
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    std::uint8_t b[8];
-    if (!take(b, 8)) return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
-    return true;
-  }
-  bool str(std::string& out, std::size_t n) {
-    if (pos_ + n > data_.size()) return false;
-    out.assign(data_.data() + pos_, n);
-    pos_ += n;
+  bool strings(std::vector<std::string>& out, std::size_t n) {
+    std::vector<std::uint32_t> lens;
+    if (!vec(lens, n)) return false;
+    std::uint64_t total = 0;
+    for (std::uint32_t len : lens) total += len;
+    std::string_view data;
+    if (!bytes(data, total)) return false;
+    out.reserve(n);
+    for (std::uint32_t len : lens) {
+      out.emplace_back(data.substr(0, len));
+      data.remove_prefix(len);
+    }
     return true;
   }
 
  private:
+  template <typename T>
+  bool array(T* out, std::size_t n) {
+    if (n > remaining() / sizeof(T)) return false;
+    if (n == 0) return true;
+    std::memcpy(out, data_.data() + pos_, n * sizeof(T));
+    toWireOrder(reinterpret_cast<char*>(out), n, sizeof(T));
+    pos_ += n * sizeof(T);
+    return true;
+  }
+
   std::string_view data_;
   std::size_t pos_ = 0;
 };
@@ -67,139 +85,119 @@ class Reader {
 }  // namespace
 
 bool isBinaryTablePayload(std::string_view payload) {
-  return payload.size() >= kRowCodecMagic.size() &&
-         payload.substr(0, kRowCodecMagic.size()) == kRowCodecMagic;
+  return payload.starts_with(kRowCodecMagic);
 }
 
 std::string encodeTableBinary(const Table& table,
                               const std::string& targetName) {
-  std::string out;
-  out.reserve(64 + table.numRows() * table.numColumns() * 9);
-  out.append(kRowCodecMagic);
-  putU16(out, static_cast<std::uint16_t>(targetName.size()));
-  out.append(targetName);
-  putU16(out, static_cast<std::uint16_t>(table.numColumns()));
+  const std::size_t nrows = table.numRows();
+  std::size_t size = kRowCodecMagic.size() + 12 + targetName.size();
   for (std::size_t c = 0; c < table.numColumns(); ++c) {
     const ColumnDef& col = table.schema().column(c);
-    std::uint8_t type = col.type == ColumnType::kInt      ? 0
-                        : col.type == ColumnType::kDouble ? 1
-                                                          : 2;
-    out.push_back(static_cast<char>(type));
-    putU16(out, static_cast<std::uint16_t>(col.name.size()));
-    out.append(col.name);
+    size += 4 + col.name.size() + (table.zoneMap(c).nullCount ? nrows : 0);
+    if (col.type == ColumnType::kString) {
+      for (const std::string& s : table.stringColumn(c)) size += 4 + s.size();
+    } else {
+      size += 8 * nrows;
+    }
   }
-  putU64(out, table.numRows());
-  for (std::size_t r = 0; r < table.numRows(); ++r) {
-    for (std::size_t c = 0; c < table.numColumns(); ++c) {
-      Value v = table.cell(r, c);
-      out.push_back(v.isNull() ? 1 : 0);
-      if (v.isNull()) continue;
-      switch (table.schema().column(c).type) {
-        case ColumnType::kInt: {
-          putU64(out, static_cast<std::uint64_t>(v.asInt()));
-          break;
+  std::string out;
+  out.reserve(size);
+  out.append(kRowCodecMagic);
+  put(out, static_cast<std::uint16_t>(targetName.size()));
+  out.append(targetName);
+  put(out, static_cast<std::uint16_t>(table.numColumns()));
+  put(out, static_cast<std::uint64_t>(nrows));
+  for (std::size_t c = 0; c < table.numColumns(); ++c) {
+    const ColumnDef& col = table.schema().column(c);
+    put(out, static_cast<std::uint8_t>(col.type));
+    put(out, static_cast<std::uint16_t>(col.name.size()));
+    out.append(col.name);
+    const bool hasNulls = table.zoneMap(c).nullCount > 0;
+    put(out, static_cast<std::uint8_t>(hasNulls));
+    if (hasNulls) putArray(out, table.nullMask(c).data(), nrows);
+    switch (col.type) {
+      case ColumnType::kInt:
+        putArray(out, table.intColumn(c).data(), nrows);
+        break;
+      case ColumnType::kDouble:
+        putArray(out, table.doubleColumn(c).data(), nrows);
+        break;
+      case ColumnType::kString:
+        for (const std::string& s : table.stringColumn(c)) {
+          put(out, static_cast<std::uint32_t>(s.size()));
         }
-        case ColumnType::kDouble: {
-          double d = v.toDouble();
-          std::uint64_t bits;
-          std::memcpy(&bits, &d, 8);
-          putU64(out, bits);
-          break;
-        }
-        case ColumnType::kString: {
-          putU32(out, static_cast<std::uint32_t>(v.asString().size()));
-          out.append(v.asString());
-          break;
-        }
-      }
+        for (const std::string& s : table.stringColumn(c)) out.append(s);
+        break;
     }
   }
   return out;
 }
 
-util::Result<TablePtr> loadBinaryTable(Database& db,
-                                       std::string_view payload) {
+util::Result<TablePtr> decodeTableBinary(std::string_view payload) {
   if (!isBinaryTablePayload(payload)) {
     return util::Status::invalidArgument("not a binary table payload");
   }
   Reader reader(payload.substr(kRowCodecMagic.size()));
   auto corrupt = [] {
-    return util::Status::invalidArgument("truncated binary table payload");
+    return util::Status::invalidArgument("damaged binary table payload");
   };
 
-  std::uint16_t nameLen = 0;
-  std::string name;
-  if (!reader.u16(nameLen) || !reader.str(name, nameLen)) return corrupt();
-  std::uint16_t ncols = 0;
-  if (!reader.u16(ncols)) return corrupt();
-  Schema schema;
+  std::uint16_t nameLen = 0, ncols = 0;
+  std::uint64_t nrows = 0;
+  std::string_view name;
+  if (!reader.get(nameLen) || !reader.bytes(name, nameLen) ||
+      !reader.get(ncols) || !reader.get(nrows)) {
+    return corrupt();
+  }
+  // A column header takes at least 4 bytes, and a row at least 4 bytes
+  // per column (a string length): counts the rest of the payload cannot
+  // hold, rows without columns included, are rejected before anything is
+  // allocated.
+  const std::size_t rowBytes = 4 * std::size_t{ncols};
+  if (ncols > reader.remaining() / 4 ||
+      (nrows > 0 && (ncols == 0 || nrows > reader.remaining() / rowBytes))) {
+    return util::Status::invalidArgument(
+        "binary table payload claims more rows or columns than it holds");
+  }
+  std::vector<ColumnDef> defs;
+  std::vector<Table::ColumnData> cols;
+  defs.reserve(ncols);
+  cols.reserve(ncols);
   for (std::uint16_t c = 0; c < ncols; ++c) {
-    std::uint8_t type = 0;
+    std::uint8_t type = 0, hasNulls = 0;
     std::uint16_t len = 0;
-    std::string colName;
-    if (!reader.u8(type) || !reader.u16(len) || !reader.str(colName, len)) {
+    std::string_view colName;
+    if (!reader.get(type) || !reader.get(len) ||
+        !reader.bytes(colName, len) || !reader.get(hasNulls) || type > 2 ||
+        hasNulls > 1) {
       return corrupt();
     }
-    if (type > 2) {
-      return util::Status::invalidArgument("unknown column type in payload");
+    Table::ColumnData& col = cols.emplace_back();
+    bool ok = !hasNulls || reader.vec(col.nulls, nrows);
+    const auto colType = static_cast<ColumnType>(type);
+    switch (colType) {
+      case ColumnType::kInt: ok = ok && reader.vec(col.ints, nrows); break;
+      case ColumnType::kDouble:
+        ok = ok && reader.vec(col.doubles, nrows);
+        break;
+      case ColumnType::kString:
+        ok = ok && reader.strings(col.strings, nrows);
+        break;
     }
-    ColumnType t = type == 0   ? ColumnType::kInt
-                   : type == 1 ? ColumnType::kDouble
-                               : ColumnType::kString;
-    schema.addColumn(ColumnDef{std::move(colName), t});
+    if (!ok) return corrupt();
+    defs.push_back(ColumnDef{std::string(colName), colType});
   }
-  std::uint64_t nrows = 0;
-  if (!reader.u64(nrows)) return corrupt();
+  auto table =
+      std::make_shared<Table>(std::string(name), Schema(std::move(defs)));
+  QSERV_RETURN_IF_ERROR(table->appendColumns(std::move(cols), nrows));
+  return table;
+}
 
-  auto table = std::make_shared<Table>(name, schema);
-  // Decode into batches and bulk-append: one type-check + reserve pass per
-  // batch instead of per-row appendRow overhead.
-  constexpr std::size_t kBatchRows = 4096;
-  std::vector<std::vector<Value>> batch;
-  batch.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-      nrows, kBatchRows)));
-  std::vector<Value> row(schema.numColumns());
-  for (std::uint64_t r = 0; r < nrows; ++r) {
-    for (std::size_t c = 0; c < schema.numColumns(); ++c) {
-      std::uint8_t null = 0;
-      if (!reader.u8(null)) return corrupt();
-      if (null) {
-        row[c] = Value::null();
-        continue;
-      }
-      switch (schema.column(c).type) {
-        case ColumnType::kInt: {
-          std::uint64_t v = 0;
-          if (!reader.u64(v)) return corrupt();
-          row[c] = Value(static_cast<std::int64_t>(v));
-          break;
-        }
-        case ColumnType::kDouble: {
-          std::uint64_t bits = 0;
-          if (!reader.u64(bits)) return corrupt();
-          double d;
-          std::memcpy(&d, &bits, 8);
-          row[c] = Value(d);
-          break;
-        }
-        case ColumnType::kString: {
-          std::uint32_t len = 0;
-          std::string s;
-          if (!reader.u32(len) || !reader.str(s, len)) return corrupt();
-          row[c] = Value(std::move(s));
-          break;
-        }
-      }
-    }
-    batch.push_back(std::move(row));
-    row.assign(schema.numColumns(), Value());
-    if (batch.size() == kBatchRows) {
-      QSERV_RETURN_IF_ERROR(table->appendRows(batch));
-      batch.clear();
-    }
-  }
-  if (!batch.empty()) QSERV_RETURN_IF_ERROR(table->appendRows(batch));
-  QSERV_RETURN_IF_ERROR(db.dropTable(name, /*ifExists=*/true));
+util::Result<TablePtr> loadBinaryTable(Database& db,
+                                       std::string_view payload) {
+  QSERV_ASSIGN_OR_RETURN(TablePtr table, decodeTableBinary(payload));
+  QSERV_RETURN_IF_ERROR(db.dropTable(table->name(), /*ifExists=*/true));
   QSERV_RETURN_IF_ERROR(db.registerTable(table));
   return table;
 }

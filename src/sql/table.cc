@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <iterator>
 
 #include "util/strings.h"
 
@@ -16,46 +17,69 @@ Table::Table(std::string name, Schema schema)
 }
 
 void Table::Column::append(const Value& v) {
-  nulls.push_back(v.isNull() ? 1 : 0);
-  if (v.isNull()) {
-    ++zone.nullCount;
-    switch (type) {
-      case ColumnType::kInt: ints.push_back(0); break;
-      case ColumnType::kDouble: doubles.push_back(0.0); break;
-      case ColumnType::kString: strings.push_back(std::string()); break;
-    }
-    return;
-  }
+  const bool null = v.isNull();
+  nulls.push_back(null ? 1 : 0);
   switch (type) {
-    case ColumnType::kInt: {
-      std::int64_t x = v.asInt();
-      ints.push_back(x);
-      if (!zone.hasValue) {
-        zone.hasValue = true;
-        zone.intMin = zone.intMax = x;
-      } else {
-        if (x < zone.intMin) zone.intMin = x;
-        if (x > zone.intMax) zone.intMax = x;
-      }
+    case ColumnType::kInt: ints.push_back(null ? 0 : v.asInt()); break;
+    case ColumnType::kDouble:
+      doubles.push_back(null ? 0.0 : v.toDouble());
       break;
-    }
-    case ColumnType::kDouble: {
-      double x = v.toDouble();
-      doubles.push_back(x);
-      if (std::isnan(x)) {
-        zone.hasNaN = true;
-      } else if (!zone.hasValue) {
-        zone.hasValue = true;
-        zone.dblMin = zone.dblMax = x;
-      } else {
-        if (x < zone.dblMin) zone.dblMin = x;
-        if (x > zone.dblMax) zone.dblMax = x;
-      }
-      break;
-    }
     case ColumnType::kString:
-      strings.push_back(v.asString());
-      zone.hasValue = true;  // strings get no min/max; nullCount stays useful
+      strings.push_back(null ? std::string() : v.asString());
+      break;
+  }
+  foldZone(nulls.size() - 1);
+}
+
+void Table::Column::foldZone(std::size_t from) {
+  const std::size_t end = nulls.size();
+  switch (type) {
+    case ColumnType::kInt:
+      for (std::size_t r = from; r < end; ++r) {
+        if (nulls[r]) {
+          ++zone.nullCount;
+          ints[r] = 0;
+          continue;
+        }
+        const std::int64_t x = ints[r];
+        if (!zone.hasValue) {
+          zone.hasValue = true;
+          zone.intMin = zone.intMax = x;
+        } else {
+          if (x < zone.intMin) zone.intMin = x;
+          if (x > zone.intMax) zone.intMax = x;
+        }
+      }
+      break;
+    case ColumnType::kDouble:
+      for (std::size_t r = from; r < end; ++r) {
+        if (nulls[r]) {
+          ++zone.nullCount;
+          doubles[r] = 0.0;
+          continue;
+        }
+        const double x = doubles[r];
+        if (std::isnan(x)) {
+          zone.hasNaN = true;
+        } else if (!zone.hasValue) {
+          zone.hasValue = true;
+          zone.dblMin = zone.dblMax = x;
+        } else {
+          if (x < zone.dblMin) zone.dblMin = x;
+          if (x > zone.dblMax) zone.dblMax = x;
+        }
+      }
+      break;
+    case ColumnType::kString:
+      // Strings get no min/max; nullCount stays useful.
+      for (std::size_t r = from; r < end; ++r) {
+        if (nulls[r]) {
+          ++zone.nullCount;
+          strings[r].clear();
+        } else {
+          zone.hasValue = true;
+        }
+      }
       break;
   }
 }
@@ -140,76 +164,98 @@ util::Status Table::appendFrom(const Table& src) {
   for (std::size_t i = 0; i < numColumns(); ++i) {
     Column& d = columns_[i];
     const Column& s = src.columns_[i];
+    const std::size_t from = d.nulls.size();
     d.reserveMore(n);
     d.nulls.insert(d.nulls.end(), s.nulls.begin(), s.nulls.end());
-    d.zone.nullCount += s.zone.nullCount;
-    if (s.zone.nullCount == n && s.type != d.type) {
-      // All-NULL mismatched column: append typed padding only.
-      switch (d.type) {
-        case ColumnType::kInt: d.ints.resize(d.ints.size() + n, 0); break;
-        case ColumnType::kDouble:
-          d.doubles.resize(d.doubles.size() + n, 0.0);
-          break;
-        case ColumnType::kString:
-          d.strings.resize(d.strings.size() + n);
-          break;
-      }
-      continue;
-    }
+    // A source column of another type is either widened (INT into DOUBLE)
+    // or all-NULL, which appends typed padding only.
     switch (d.type) {
       case ColumnType::kInt:
-        d.ints.insert(d.ints.end(), s.ints.begin(), s.ints.end());
-        if (s.zone.hasValue) {
-          if (!d.zone.hasValue) {
-            d.zone.hasValue = true;
-            d.zone.intMin = s.zone.intMin;
-            d.zone.intMax = s.zone.intMax;
-          } else {
-            if (s.zone.intMin < d.zone.intMin) d.zone.intMin = s.zone.intMin;
-            if (s.zone.intMax > d.zone.intMax) d.zone.intMax = s.zone.intMax;
-          }
-        }
-        break;
-      case ColumnType::kDouble: {
         if (s.type == ColumnType::kInt) {
-          for (std::int64_t x : s.ints) {
-            d.doubles.push_back(static_cast<double>(x));
-          }
-          if (s.zone.hasValue) {
-            double lo = static_cast<double>(s.zone.intMin);
-            double hi = static_cast<double>(s.zone.intMax);
-            if (!d.zone.hasValue) {
-              d.zone.hasValue = true;
-              d.zone.dblMin = lo;
-              d.zone.dblMax = hi;
-            } else {
-              if (lo < d.zone.dblMin) d.zone.dblMin = lo;
-              if (hi > d.zone.dblMax) d.zone.dblMax = hi;
-            }
-          }
+          d.ints.insert(d.ints.end(), s.ints.begin(), s.ints.end());
         } else {
-          d.doubles.insert(d.doubles.end(), s.doubles.begin(), s.doubles.end());
-          if (s.zone.hasNaN) d.zone.hasNaN = true;
-          if (s.zone.hasValue) {
-            if (!d.zone.hasValue) {
-              d.zone.hasValue = true;
-              d.zone.dblMin = s.zone.dblMin;
-              d.zone.dblMax = s.zone.dblMax;
-            } else {
-              if (s.zone.dblMin < d.zone.dblMin) d.zone.dblMin = s.zone.dblMin;
-              if (s.zone.dblMax > d.zone.dblMax) d.zone.dblMax = s.zone.dblMax;
-            }
-          }
+          d.ints.resize(from + n, 0);
         }
         break;
-      }
+      case ColumnType::kDouble:
+        if (s.type == ColumnType::kDouble) {
+          d.doubles.insert(d.doubles.end(), s.doubles.begin(), s.doubles.end());
+        } else if (s.type == ColumnType::kInt) {
+          d.doubles.insert(d.doubles.end(), s.ints.begin(), s.ints.end());
+        } else {
+          d.doubles.resize(from + n, 0.0);
+        }
+        break;
       case ColumnType::kString:
-        d.strings.insert(d.strings.end(), s.strings.begin(), s.strings.end());
-        if (s.zone.hasValue) d.zone.hasValue = true;
+        if (s.type == ColumnType::kString) {
+          d.strings.insert(d.strings.end(), s.strings.begin(), s.strings.end());
+        } else {
+          d.strings.resize(from + n);
+        }
         break;
     }
+    d.foldZone(from);
   }
   numRows_ += n;
+  return util::Status::ok();
+}
+
+namespace {
+
+template <typename T>
+void appendVector(std::vector<T>& dst, std::vector<T>&& src) {
+  if (dst.empty()) {
+    dst = std::move(src);
+  } else {
+    dst.insert(dst.end(), std::make_move_iterator(src.begin()),
+               std::make_move_iterator(src.end()));
+  }
+}
+
+}  // namespace
+
+util::Status Table::appendColumns(std::vector<ColumnData> cols,
+                                  std::size_t rows) {
+  if (cols.size() != numColumns()) {
+    return util::Status::invalidArgument(util::format(
+        "table %s: %zu columns appended, schema has %zu", name_.c_str(),
+        cols.size(), numColumns()));
+  }
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    const ColumnData& s = cols[i];
+    const std::size_t values = columns_[i].type == ColumnType::kInt
+                                   ? s.ints.size()
+                               : columns_[i].type == ColumnType::kDouble
+                                   ? s.doubles.size()
+                                   : s.strings.size();
+    if (values != rows || (!s.nulls.empty() && s.nulls.size() != rows)) {
+      return util::Status::invalidArgument(util::format(
+          "table %s column %s: %zu values and %zu NULL flags for %zu rows",
+          name_.c_str(), schema_.column(i).name.c_str(), values,
+          s.nulls.size(), rows));
+    }
+  }
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    Column& d = columns_[i];
+    ColumnData& s = cols[i];
+    const std::size_t from = d.nulls.size();
+    if (s.nulls.empty()) {
+      d.nulls.resize(from + rows, 0);
+    } else {
+      appendVector(d.nulls, std::move(s.nulls));
+    }
+    switch (d.type) {
+      case ColumnType::kInt: appendVector(d.ints, std::move(s.ints)); break;
+      case ColumnType::kDouble:
+        appendVector(d.doubles, std::move(s.doubles));
+        break;
+      case ColumnType::kString:
+        appendVector(d.strings, std::move(s.strings));
+        break;
+    }
+    d.foldZone(from);
+  }
+  numRows_ += rows;
   return util::Status::ok();
 }
 

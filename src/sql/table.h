@@ -38,6 +38,16 @@ struct ZoneMap {
 
 class Table {
  public:
+  /// Raw storage of one column, as handed to appendColumns: the vector
+  /// matching the column's declared type holds one entry per row, and
+  /// `nulls` flags NULLs (1 = NULL; empty = no NULLs).
+  struct ColumnData {
+    std::vector<std::int64_t> ints;
+    std::vector<double> doubles;
+    std::vector<std::string> strings;
+    std::vector<std::uint8_t> nulls;
+  };
+
   Table(std::string name, Schema schema);
 
   const std::string& name() const { return name_; }
@@ -59,6 +69,12 @@ class Table {
   /// DOUBLE destination, and an all-NULL source column feeds any type.
   util::Status appendFrom(const Table& src);
 
+  /// Bulk column append: \p cols holds one entry per schema column, each of
+  /// \p rows values of the declared type. An empty table adopts the vectors
+  /// outright; a non-empty one appends them. Zone maps are folded over the
+  /// new values and NULL slots are zeroed. All-or-nothing on bad sizes.
+  util::Status appendColumns(std::vector<ColumnData> cols, std::size_t rows);
+
   /// Value of a cell. Preconditions: row < numRows(), col < numColumns().
   Value cell(std::size_t row, std::size_t col) const;
 
@@ -79,24 +95,22 @@ class Table {
   /// Append-maintained min/max/null summary of a column.
   const ZoneMap& zoneMap(std::size_t col) const;
 
-  /// Rename in place (Database::renameTable; the merger adopts the first
-  /// chunk dump's table as its merge table instead of copying it).
+  /// Rename in place, before registration (the merger adopts the first
+  /// chunk's table as its merge table instead of copying it).
   void rename(std::string newName) { name_ = std::move(newName); }
 
   /// In-memory payload bytes (column data only, no metadata).
   std::size_t payloadBytes() const;
 
  private:
-  struct Column {
+  struct Column : ColumnData {
     ColumnType type;
-    std::vector<std::int64_t> ints;
-    std::vector<double> doubles;
-    std::vector<std::string> strings;
-    std::vector<std::uint8_t> nulls;  // 1 = NULL
     ZoneMap zone;
 
     void append(const Value& v);  // no type check; updates the zone map
     void reserveMore(std::size_t n);
+    /// Fold rows [from, size) into the zone map, zeroing NULL slots.
+    void foldZone(std::size_t from);
   };
 
   std::string name_;

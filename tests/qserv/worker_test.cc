@@ -9,6 +9,7 @@
 #include "datagen/schemas.h"
 #include "qserv/batch_codec.h"
 #include "qserv/cluster.h"
+#include "sql/rowcodec.h"
 #include "util/md5.h"
 #include "util/strings.h"
 #include "xrd/paths.h"
@@ -63,7 +64,9 @@ class WorkerTest : public ::testing::Test {
 };
 
 TEST_F(WorkerTest, ExecutesChunkQueryAndPublishesDump) {
-  auto w = makeWorker();
+  WorkerConfig wc;
+  wc.transfer = TransferFormat::kSqlDump;  // asserts dump text
+  auto w = makeWorker(wc);
   std::int32_t chunk = populatedChunk_;
   std::string q = "SELECT COUNT(*) AS QS0_COUNT FROM Object_" +
                   std::to_string(chunk) + ";\n";
@@ -73,6 +76,24 @@ TEST_F(WorkerTest, ExecutesChunkQueryAndPublishesDump) {
   EXPECT_NE(dump->find("QS0_COUNT"), std::string::npos);
   EXPECT_NE(dump->find("-- QSERV-OBS"), std::string::npos);
   EXPECT_EQ(w->tasksExecuted(), 1u);
+}
+
+TEST_F(WorkerTest, DefaultWorkerPublishesBinaryPayload) {
+  auto w = makeWorker();
+  std::int32_t chunk = populatedChunk_;
+  std::string q = "SELECT objectId, ra_PS FROM Object_" +
+                  std::to_string(chunk) + ";\n";
+  auto payload = runQuery(*w, chunk, q);
+  ASSERT_TRUE(payload.isOk()) << payload.status().toString();
+  ASSERT_TRUE(sql::isBinaryTablePayload(*payload));
+  EXPECT_EQ(payload->find("CREATE TABLE"), std::string::npos);
+  EXPECT_NE(payload->find("-- QSERV-OBS"), std::string::npos);
+  auto table = sql::decodeTableBinary(*payload);
+  ASSERT_TRUE(table.isOk()) << table.status().toString();
+  EXPECT_EQ((*table)->name(), "r_" + util::Md5::hex(q));
+  EXPECT_EQ((*table)->numRows(),
+            db_->findTable("Object_" + std::to_string(chunk))->numRows());
+  EXPECT_EQ((*table)->numColumns(), 2u);
 }
 
 TEST_F(WorkerTest, RejectsUnknownChunk) {

@@ -460,29 +460,49 @@ TEST_F(VectorEval, AppendFromWidensAndMergesZones) {
   EXPECT_EQ(dst.zoneMap(1).nullCount, 2u);
 }
 
-TEST_F(VectorEval, RenameTableCarriesIndexes) {
-  Database db("rename");
-  Schema schema({{"id", ColumnType::kInt}});
-  auto t = std::make_shared<Table>("old", schema);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(t->appendRow(std::vector<Value>{Value(std::int64_t{i})}).isOk());
-  }
-  ASSERT_TRUE(db.registerTable(t).isOk());
-  ASSERT_TRUE(db.createIndex("old", "id").isOk());
-  EXPECT_FALSE(db.renameTable("missing", "other").isOk());
-  ASSERT_TRUE(db.renameTable("old", "fresh").isOk());
-  EXPECT_EQ(db.findTable("old"), nullptr);
-  ASSERT_NE(db.findTable("fresh"), nullptr);
-  EXPECT_EQ(db.findTable("fresh")->name(), "fresh");
-  ExecStats stats;
-  auto r = db.execute("SELECT * FROM fresh WHERE id = 3", &stats);
-  ASSERT_TRUE(r.isOk());
-  EXPECT_EQ((*r)->numRows(), 1u);
-  EXPECT_EQ(stats.indexLookups, 1u);  // the index followed the rename
-  // Renaming onto an existing name fails.
-  auto other = std::make_shared<Table>("taken", schema);
-  ASSERT_TRUE(db.registerTable(other).isOk());
-  EXPECT_FALSE(db.renameTable("fresh", "taken").isOk());
+TEST_F(VectorEval, AppendColumnsAdoptsAppendsAndFoldsZones) {
+  Schema schema({{"i", ColumnType::kInt},
+                 {"d", ColumnType::kDouble},
+                 {"s", ColumnType::kString}});
+  Table t("T", schema);
+  std::vector<Table::ColumnData> first(3);
+  first[0].ints = {5, 99, -3};
+  first[0].nulls = {0, 1, 0};  // the 99 under a NULL must not reach the zone
+  first[1].doubles = {std::nan(""), 2.5, -1.0};
+  first[2].strings = {"a", "b", "c"};  // no mask: no NULLs
+  ASSERT_TRUE(t.appendColumns(std::move(first), 3).isOk());
+  EXPECT_EQ(t.numRows(), 3u);
+  EXPECT_TRUE(t.isNull(1, 0));
+  EXPECT_EQ(t.intColumn(0)[1], 0);  // NULL slots are zeroed
+  EXPECT_EQ(t.zoneMap(0).intMin, -3);
+  EXPECT_EQ(t.zoneMap(0).intMax, 5);
+  EXPECT_EQ(t.zoneMap(0).nullCount, 1u);
+  EXPECT_TRUE(t.zoneMap(1).hasNaN);
+  EXPECT_EQ(t.zoneMap(1).dblMin, -1.0);
+  EXPECT_EQ(t.zoneMap(2).nullCount, 0u);
+
+  std::vector<Table::ColumnData> more(3);
+  more[0].ints = {42};
+  more[1].doubles = {0.0};
+  more[1].nulls = {1};
+  more[2].strings = {"z"};
+  ASSERT_TRUE(t.appendColumns(std::move(more), 1).isOk());
+  EXPECT_EQ(t.numRows(), 4u);
+  EXPECT_EQ(t.cell(3, 0), Value(std::int64_t{42}));
+  EXPECT_TRUE(t.isNull(3, 1));
+  EXPECT_EQ(t.cell(3, 2), Value("z"));
+  EXPECT_EQ(t.zoneMap(0).intMax, 42);
+  EXPECT_EQ(t.zoneMap(1).nullCount, 1u);
+
+  // A column whose length disagrees with the row count appends nothing.
+  std::vector<Table::ColumnData> bad(3);
+  bad[0].ints = {1, 2};
+  bad[1].doubles = {1.0, 2.0};
+  bad[2].strings = {"only one"};
+  EXPECT_FALSE(t.appendColumns(std::move(bad), 2).isOk());
+  EXPECT_FALSE(t.appendColumns(std::vector<Table::ColumnData>(2), 0).isOk());
+  EXPECT_EQ(t.numRows(), 4u);
+  EXPECT_EQ(t.nullMask(0).size(), 4u);
 }
 
 }  // namespace
