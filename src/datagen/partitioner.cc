@@ -145,13 +145,27 @@ util::Result<PartitionedCatalog> partitionCatalog(
   return out;
 }
 
+util::Status indexChunkTable(sql::Database& db, const std::string& table,
+                             const std::string& idColumn, bool hasOverlap) {
+  sql::TablePtr t = db.findTable(table);
+  if (!t) return util::Status::notFound("unknown table " + table);
+  std::vector<std::string> columns{idColumn};
+  if (hasOverlap) columns.push_back("subChunkId");
+  for (const std::string& column : columns) {
+    if (!column.empty() && t->schema().indexOf(column)) {
+      QSERV_RETURN_IF_ERROR(db.createIndex(table, column));
+    }
+  }
+  return util::Status::ok();
+}
+
 util::Status loadChunkIntoDatabase(sql::Database& db, const ChunkData& chunk) {
   QSERV_RETURN_IF_ERROR(db.registerTable(chunk.objects));
   QSERV_RETURN_IF_ERROR(db.registerTable(chunk.objectOverlap));
   QSERV_RETURN_IF_ERROR(db.registerTable(chunk.sources));
-  QSERV_RETURN_IF_ERROR(db.createIndex(chunk.objects->name(), "objectId"));
-  QSERV_RETURN_IF_ERROR(db.createIndex(chunk.sources->name(), "objectId"));
-  return util::Status::ok();
+  QSERV_RETURN_IF_ERROR(
+      indexChunkTable(db, chunk.objects->name(), "objectId", true));
+  return indexChunkTable(db, chunk.sources->name(), "objectId", false);
 }
 
 }  // namespace qserv::datagen

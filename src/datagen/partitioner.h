@@ -55,9 +55,17 @@ util::Result<PartitionedCatalog> partitionCatalog(
     const sphgeom::Chunker& chunker, std::span<const ObjectRow> objects,
     std::span<const SourceRow> sources);
 
-/// Register one chunk's tables into \p db and index Object_CC by objectId
-/// (paper §5.5: "Chunk tables on workers' MySQL instances are also indexed
-/// by objectId"). Source_CC is indexed by objectId as well.
+/// The one index rule for chunk tables, used by initial placement, replica
+/// installs and EXPLAIN: the id column on every chunk table (paper §5.5:
+/// "Chunk tables on workers' MySQL instances are also indexed by
+/// objectId"), plus subChunkId on tables with overlap, the only ones a
+/// worker splits into subchunks (its subchunk builds probe that index
+/// instead of scanning the chunk). Columns the table lacks are skipped.
+util::Status indexChunkTable(sql::Database& db, const std::string& table,
+                             const std::string& idColumn, bool hasOverlap);
+
+/// Register one chunk's tables into \p db and index them by
+/// indexChunkTable (Object carries overlap, Source does not).
 util::Status loadChunkIntoDatabase(sql::Database& db, const ChunkData& chunk);
 
 }  // namespace qserv::datagen

@@ -21,10 +21,10 @@ CatalogConfig CatalogConfig::lsst(int numStripes, int numSubStripes,
   cfg.overlapDeg = overlapDeg;
   cfg.tables.push_back(PartitionedTable{
       "Object", "ra_PS", "decl_PS", "objectId", datagen::kObjectRowBytes,
-      /*hasOverlap=*/true});
+      /*hasOverlap=*/true, datagen::objectSchema()});
   cfg.tables.push_back(PartitionedTable{
       "Source", "ra", "decl", "objectId", datagen::kSourceRowBytes,
-      /*hasOverlap=*/false});
+      /*hasOverlap=*/false, datagen::sourceSchema()});
   return cfg;
 }
 

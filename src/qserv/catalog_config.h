@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sphgeom/chunker.h"
+#include "sql/schema.h"
 
 namespace qserv::core {
 
@@ -22,6 +23,8 @@ struct PartitionedTable {
   /// True when the table keeps precomputed overlap rows (near-neighbor
   /// joins are only valid on such tables).
   bool hasOverlap = false;
+  /// Columns of the table's chunk tables; EXPLAIN plans against them.
+  sql::Schema schema;
 };
 
 struct CatalogConfig {

@@ -134,10 +134,6 @@ Result<std::unique_ptr<MiniCluster>> MiniCluster::create(
                                         static_cast<std::size_t>(n));
       QSERV_RETURN_IF_ERROR(
           datagen::loadChunkIntoDatabase(*cluster->databases_[w], chunk));
-      // Index the subChunkId column too: on-the-fly subchunk builds probe
-      // it instead of scanning the chunk.
-      QSERV_RETURN_IF_ERROR(cluster->databases_[w]->createIndex(
-          chunk.objects->name(), "subChunkId"));
       exported[w].push_back(chunk.chunkId);
       if (r == 0) cluster->primaryChunks_[w].push_back(chunk.chunkId);
     }

@@ -1,15 +1,15 @@
 /// \file explain.h
 /// \brief Plan introspection for `EXPLAIN <select>` (no execution).
 ///
-/// Classifies a query exactly the way the frontend and workers will treat
-/// it — pruning decision (secondary index / spatial cover / full sky),
-/// chunk count, rewritten chunk template, join strategy (zone / hash /
-/// nested loop), and the vectorized-vs-fallback scan-filter split with
-/// zone-map eligibility — by mirroring the executor's structural rules over
-/// the analyzed AST. The classification is static: the worker makes the
-/// final call at run time (it sees column types and data), but the shapes
-/// tested here are the same ones sql/vector_eval.cc and the executor's join
-/// stage test.
+/// The frontend reports its own decisions — pruning (secondary index /
+/// spatial cover / full sky), chunk count, the rewritten chunk template, the
+/// merge plan, dispatch and scheduler class — and the workers' decisions by
+/// planning the chunk template's first statement with sql::planSelect, the
+/// planner the worker's executor runs. That plan is built against empty
+/// tables carrying the catalog schemas (PartitionedTable::schema) and the
+/// worker's index rule (datagen::indexChunkTable), so its access, join,
+/// filter and zone-map rows are the strategies a worker runs. Only the data
+/// decides beyond that: a zone map may still skip a chunk at run time.
 #pragma once
 
 #include <span>
@@ -17,6 +17,7 @@
 
 #include "qserv/query_analysis.h"
 #include "qserv/query_rewriter.h"
+#include "sql/plan.h"
 #include "sql/table.h"
 
 namespace qserv::core {
@@ -27,9 +28,7 @@ struct ExplainPlan {
   std::string pruning;        ///< secondary-index / spatial cover / full sky
   std::int64_t chunkCount = 0;
   std::string chunkTemplate;  ///< first rewritten chunk query ("" if none)
-  std::string joinStrategy;   ///< zone / hash / nested loop / none
-  std::string filter;         ///< vectorized-kernel vs scalar-residual split
-  std::string zoneMap;        ///< zone-map pruning eligibility
+  sql::PlanDescription worker;  ///< the chunk query's plan (sql/plan.h)
   std::string merge;          ///< merge/final-aggregation plan
   std::string dispatch;       ///< batched-vs-per-chunk strategy and shape
   std::string scheduler;      ///< worker scheduler class (interactive/scan)

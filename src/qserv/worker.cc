@@ -405,21 +405,12 @@ Status Worker::installChunk(std::int32_t chunkId,
   for (const auto& name : staging.tableNames()) {
     QSERV_RETURN_IF_ERROR(db_->replaceTable(staging.findTable(name)));
   }
-  // Index the loaded tables exactly as initial placement does: the chunk
-  // table by its id column (paper §5.5) and by subChunkId (on-the-fly
-  // subchunk builds probe it instead of scanning the chunk).
+  // Index the loaded chunk tables exactly as initial placement does.
   for (const auto& table : catalog_.tables) {
     std::string chunkTable = datagen::chunkTableName(table.name, chunkId);
-    sql::TablePtr t = db_->findTable(chunkTable);
-    if (!t) continue;
-    std::string idColumn =
-        table.idColumn.empty() ? "objectId" : table.idColumn;
-    if (t->schema().indexOf(idColumn)) {
-      QSERV_RETURN_IF_ERROR(db_->createIndex(chunkTable, idColumn));
-    }
-    if (t->schema().indexOf("subChunkId")) {
-      QSERV_RETURN_IF_ERROR(db_->createIndex(chunkTable, "subChunkId"));
-    }
+    if (!db_->hasTable(chunkTable)) continue;
+    QSERV_RETURN_IF_ERROR(datagen::indexChunkTable(
+        *db_, chunkTable, table.idColumn, table.hasOverlap));
   }
   addExport(chunkId);
   WorkerMetrics::instance().chunksInstalled.add();
@@ -667,7 +658,7 @@ void Worker::releaseSubchunks(std::int32_t chunkId,
         std::lock_guard lock(subchunkMutex_);
         auto it = subchunks_.find(key);
         if (it == subchunks_.end()) continue;
-        if (--it->second.refs == 0 && !config_.cacheSubchunks) {
+        if (--it->second.refs == 0) {
           drop = true;
           subchunks_.erase(it);
         }

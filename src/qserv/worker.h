@@ -65,7 +65,6 @@ struct WorkerConfig {
   /// Result encoding: binary by default, so no chunk result is formatted
   /// as SQL text or re-parsed by the merger.
   TransferFormat transfer = TransferFormat::kBinary;
-  bool cacheSubchunks = false;
   /// Real rows -> paper rows multiplier for the cost model (our tables are
   /// scaled down; observables are reported at paper scale).
   double rowScale = 1.0;

@@ -1,13 +1,11 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <numeric>
 #include <unordered_map>
 
-#include "sql/expr_eval.h"
-#include "sql/spatial_join.h"
-#include "sql/vector_eval.h"
+#include "sql/plan.h"
 #include "util/strings.h"
 
 namespace qserv::sql {
@@ -16,145 +14,6 @@ namespace {
 
 using util::Result;
 using util::Status;
-
-// ------------------------------------------------------------- aggregates
-
-enum class AggKind { kCountStar, kCount, kSum, kAvg, kMin, kMax };
-
-struct AggSpec {
-  AggKind kind;
-  ExprPtr arg;  // null for COUNT(*)
-};
-
-/// Replace aggregate FuncCall nodes in \p expr with SlotRefExpr nodes,
-/// appending their specs to \p aggs. Fails on nested aggregates.
-Result<ExprPtr> extractAggregates(ExprPtr expr, std::vector<AggSpec>& aggs,
-                                  bool insideAggregate = false) {
-  switch (expr->kind()) {
-    case ExprKind::kFuncCall: {
-      auto* f = static_cast<FuncCall*>(expr.get());
-      if (f->isAggregate()) {
-        if (insideAggregate) {
-          return Status::invalidArgument("nested aggregate functions");
-        }
-        if (f->args.size() != 1) {
-          return Status::invalidArgument(
-              util::format("%s() takes exactly one argument", f->name.c_str()));
-        }
-        AggSpec spec;
-        bool star = f->args[0]->kind() == ExprKind::kStar;
-        if (util::iequals(f->name, "COUNT")) {
-          spec.kind = star ? AggKind::kCountStar : AggKind::kCount;
-        } else if (star) {
-          return Status::invalidArgument(
-              util::format("%s(*) is not valid", f->name.c_str()));
-        } else if (util::iequals(f->name, "SUM")) {
-          spec.kind = AggKind::kSum;
-        } else if (util::iequals(f->name, "AVG")) {
-          spec.kind = AggKind::kAvg;
-        } else if (util::iequals(f->name, "MIN")) {
-          spec.kind = AggKind::kMin;
-        } else {
-          spec.kind = AggKind::kMax;
-        }
-        if (!star) {
-          QSERV_ASSIGN_OR_RETURN(
-              spec.arg,
-              extractAggregates(std::move(f->args[0]), aggs, true));
-          // A column must appear somewhere inside an aggregate arg; a pure
-          // nested aggregate was already rejected above.
-        }
-        aggs.push_back(std::move(spec));
-        return ExprPtr(std::make_unique<SlotRefExpr>(aggs.size() - 1));
-      }
-      for (auto& a : f->args) {
-        QSERV_ASSIGN_OR_RETURN(a,
-                               extractAggregates(std::move(a), aggs,
-                                                 insideAggregate));
-      }
-      return expr;
-    }
-    case ExprKind::kUnary: {
-      auto* u = static_cast<UnaryExpr*>(expr.get());
-      QSERV_ASSIGN_OR_RETURN(
-          u->operand, extractAggregates(std::move(u->operand), aggs,
-                                        insideAggregate));
-      return expr;
-    }
-    case ExprKind::kBinary: {
-      auto* b = static_cast<BinaryExpr*>(expr.get());
-      QSERV_ASSIGN_OR_RETURN(
-          b->lhs, extractAggregates(std::move(b->lhs), aggs, insideAggregate));
-      QSERV_ASSIGN_OR_RETURN(
-          b->rhs, extractAggregates(std::move(b->rhs), aggs, insideAggregate));
-      return expr;
-    }
-    case ExprKind::kBetween: {
-      auto* b = static_cast<BetweenExpr*>(expr.get());
-      QSERV_ASSIGN_OR_RETURN(
-          b->expr, extractAggregates(std::move(b->expr), aggs, insideAggregate));
-      QSERV_ASSIGN_OR_RETURN(
-          b->lo, extractAggregates(std::move(b->lo), aggs, insideAggregate));
-      QSERV_ASSIGN_OR_RETURN(
-          b->hi, extractAggregates(std::move(b->hi), aggs, insideAggregate));
-      return expr;
-    }
-    case ExprKind::kIn: {
-      auto* i = static_cast<InExpr*>(expr.get());
-      QSERV_ASSIGN_OR_RETURN(
-          i->expr, extractAggregates(std::move(i->expr), aggs, insideAggregate));
-      for (auto& item : i->list) {
-        QSERV_ASSIGN_OR_RETURN(
-            item, extractAggregates(std::move(item), aggs, insideAggregate));
-      }
-      return expr;
-    }
-    case ExprKind::kIsNull: {
-      auto* n = static_cast<IsNullExpr*>(expr.get());
-      QSERV_ASSIGN_OR_RETURN(
-          n->expr, extractAggregates(std::move(n->expr), aggs, insideAggregate));
-      return expr;
-    }
-    default:
-      return expr;
-  }
-}
-
-bool containsAggregate(const Expr& expr) {
-  switch (expr.kind()) {
-    case ExprKind::kFuncCall: {
-      const auto& f = static_cast<const FuncCall&>(expr);
-      if (f.isAggregate()) return true;
-      for (const auto& a : f.args) {
-        if (containsAggregate(*a)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kUnary:
-      return containsAggregate(*static_cast<const UnaryExpr&>(expr).operand);
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(expr);
-      return containsAggregate(*b.lhs) || containsAggregate(*b.rhs);
-    }
-    case ExprKind::kBetween: {
-      const auto& b = static_cast<const BetweenExpr&>(expr);
-      return containsAggregate(*b.expr) || containsAggregate(*b.lo) ||
-             containsAggregate(*b.hi);
-    }
-    case ExprKind::kIn: {
-      const auto& i = static_cast<const InExpr&>(expr);
-      if (containsAggregate(*i.expr)) return true;
-      for (const auto& e : i.list) {
-        if (containsAggregate(*e)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kIsNull:
-      return containsAggregate(*static_cast<const IsNullExpr&>(expr).expr);
-    default:
-      return false;
-  }
-}
 
 /// Running accumulator for one aggregate over one group.
 struct AggAccumulator {
@@ -218,33 +77,6 @@ struct AggAccumulator {
   }
 };
 
-// ------------------------------------------------------------- where split
-
-/// Flatten an AND tree into conjuncts (borrowed pointers into the tree).
-void flattenConjuncts(const Expr* expr, std::vector<const Expr*>& out) {
-  if (expr->kind() == ExprKind::kBinary) {
-    const auto* b = static_cast<const BinaryExpr*>(expr);
-    if (b->op == BinOp::kAnd) {
-      flattenConjuncts(b->lhs.get(), out);
-      flattenConjuncts(b->rhs.get(), out);
-      return;
-    }
-  }
-  out.push_back(expr);
-}
-
-struct Conjunct {
-  const Expr* expr = nullptr;
-  std::vector<int> tables;  // referenced scope-table indices, ascending
-  int maxTable = -1;        // highest referenced index (-1: constant)
-};
-
-struct EquiJoin {
-  const Expr* lhs = nullptr;  // references tables < rhsTable only
-  const Expr* rhs = nullptr;  // references rhsTable only
-  int rhsTable = -1;
-};
-
 // --------------------------------------------------------------- group key
 
 struct GroupKey {
@@ -270,10 +102,6 @@ struct GroupKeyHash {
     }
     return h;
   }
-};
-
-struct ValueKeyHash {
-  std::size_t operator()(const GroupKey& k) const { return GroupKeyHash{}(k); }
 };
 
 /// Replace every ColumnRef in a clone of \p expr with NULL — used to
@@ -323,578 +151,151 @@ ExprPtr cloneWithColumnsAsNull(const Expr& expr) {
   }
 }
 
-// --------------------------------------------------------------- executor
+// ------------------------------------------------------------------ runner
 
-class SelectExec {
+/// Runs a SelectPlan: every strategy was chosen by planSelect, so this
+/// only reads rows, counts ExecStats and builds the result.
+class PlanRunner {
  public:
-  SelectExec(Database& db, const SelectStmt& sel, ExecStats& stats)
-      : db_(db), sel_(sel), stats_(stats),
-        registry_(db.functions()) {}
-
-  /// Static output type of \p expr, or nullopt when undeterminable.
-  /// Keeps empty result sets carrying correct column types — essential for
-  /// dump/replay (an empty chunk result must not demote BIGINT columns).
-  std::optional<ColumnType> inferType(const Expr& expr) const {
-    switch (expr.kind()) {
-      case ExprKind::kLiteral: {
-        const auto& v = static_cast<const LiteralExpr&>(expr).value;
-        switch (v.type()) {
-          case ValueType::kInt: return ColumnType::kInt;
-          case ValueType::kDouble: return ColumnType::kDouble;
-          case ValueType::kString: return ColumnType::kString;
-          case ValueType::kNull: return std::nullopt;
-        }
-        return std::nullopt;
-      }
-      case ExprKind::kColumnRef: {
-        auto slot = resolveColumn(static_cast<const ColumnRef&>(expr), scope_);
-        if (!slot.isOk()) return std::nullopt;
-        return scope_[slot->tableIdx].table->schema().column(slot->columnIdx)
-            .type;
-      }
-      case ExprKind::kSlotRef: {
-        std::size_t k = static_cast<const SlotRefExpr&>(expr).slot;
-        if (k >= aggs_.size()) return std::nullopt;
-        switch (aggs_[k].kind) {
-          case AggKind::kCountStar:
-          case AggKind::kCount:
-            return ColumnType::kInt;
-          case AggKind::kAvg:
-            return ColumnType::kDouble;
-          case AggKind::kSum:
-          case AggKind::kMin:
-          case AggKind::kMax:
-            return aggs_[k].arg ? inferType(*aggs_[k].arg) : std::nullopt;
-        }
-        return std::nullopt;
-      }
-      case ExprKind::kUnary: {
-        const auto& u = static_cast<const UnaryExpr&>(expr);
-        if (u.op == UnOp::kNot) return ColumnType::kInt;
-        return inferType(*u.operand);
-      }
-      case ExprKind::kBinary: {
-        const auto& b = static_cast<const BinaryExpr&>(expr);
-        switch (b.op) {
-          case BinOp::kEq: case BinOp::kNe: case BinOp::kLt: case BinOp::kLe:
-          case BinOp::kGt: case BinOp::kGe: case BinOp::kAnd: case BinOp::kOr:
-            return ColumnType::kInt;
-          case BinOp::kDiv:
-            return ColumnType::kDouble;
-          case BinOp::kAdd: case BinOp::kSub: case BinOp::kMul:
-          case BinOp::kMod: {
-            auto l = inferType(*b.lhs);
-            auto r = inferType(*b.rhs);
-            if (l == ColumnType::kInt && r == ColumnType::kInt) {
-              return ColumnType::kInt;
-            }
-            if (l && r) return ColumnType::kDouble;
-            return std::nullopt;
-          }
-        }
-        return std::nullopt;
-      }
-      case ExprKind::kBetween:
-      case ExprKind::kIn:
-      case ExprKind::kIsNull:
-        return ColumnType::kInt;
-      case ExprKind::kFuncCall:
-        // Scalar functions are numeric; all builtins return doubles (the
-        // boolean-ish qserv_ptInSphericalBox yields 0/1 ints, which a
-        // DOUBLE column accepts).
-        return ColumnType::kDouble;
-      default:
-        return std::nullopt;
-    }
-  }
+  PlanRunner(SelectPlan& plan, ExecStats& stats, const FunctionRegistry& reg)
+      : p_(plan), stats_(stats), registry_(reg) {}
 
   Result<TablePtr> run() {
-    QSERV_RETURN_IF_ERROR(resolveFrom());
-    QSERV_RETURN_IF_ERROR(expandItems());
-    QSERV_RETURN_IF_ERROR(planWhere());
-    // MyISAM-style shortcut: unrestricted COUNT(*) on one table answers
-    // from row-count metadata without a scan (paper relies on this for the
-    // cheap full-sky HV1 count; see DESIGN.md).
-    if (isAggregateQuery_ && scope_.size() == 1 && !sel_.where &&
-        sel_.groupBy.empty() && aggs_.size() == 1 &&
-        aggs_[0].kind == AggKind::kCountStar && items_.size() == 1 &&
-        items_[0].expr->kind() == ExprKind::kSlotRef) {
-      resultRows_.push_back(
-          {Value(static_cast<std::int64_t>(tablesRaw_[0]->numRows()))});
-      QSERV_RETURN_IF_ERROR(orderAndLimit());
-      return buildResultTable();
+    switch (p_.shortcut) {
+      case SelectPlan::Shortcut::kMetadataCount:
+        resultRows_.push_back(
+            {Value(static_cast<std::int64_t>(p_.tables[0]->numRows()))});
+        break;
+      case SelectPlan::Shortcut::kCountPushdown:
+        countPushdown();
+        break;
+      case SelectPlan::Shortcut::kNone:
+        QSERV_RETURN_IF_ERROR(enumerateTuples());
+        QSERV_RETURN_IF_ERROR(p_.aggregate ? consumeAggregate()
+                                           : consumeProjection());
+        break;
     }
-    // Filtered COUNT(*) over one table with a fully kernelizable WHERE:
-    // count survivors straight off the selection vectors, skipping tuple
-    // materialization and the aggregate hash (the scan-heavy paper queries
-    // are mostly of this shape).
-    if (isAggregateQuery_ && scope_.size() == 1 && sel_.where &&
-        sel_.groupBy.empty() && aggs_.size() == 1 &&
-        aggs_[0].kind == AggKind::kCountStar && items_.size() == 1 &&
-        items_[0].expr->kind() == ExprKind::kSlotRef &&
-        vectorizedFilterEnabled()) {
-      QSERV_ASSIGN_OR_RETURN(bool done, tryCountPushdown());
-      if (done) {
-        QSERV_RETURN_IF_ERROR(orderAndLimit());
-        return buildResultTable();
-      }
-    }
-    QSERV_RETURN_IF_ERROR(enumerateTuples());
-    QSERV_RETURN_IF_ERROR(isAggregateQuery_ ? consumeAggregate()
-                                            : consumeProjection());
-    QSERV_RETURN_IF_ERROR(orderAndLimit());
+    orderAndLimit();
     return buildResultTable();
   }
 
  private:
-  Status resolveFrom() {
-    for (const TableRef& ref : sel_.from) {
-      std::string key =
-          ref.database.empty() ? ref.table : ref.database + "." + ref.table;
-      TablePtr t = db_.findTable(key);
-      if (!t && !ref.database.empty()) t = db_.findTable(ref.table);
-      if (!t) {
-        return Status::notFound(
-            util::format("unknown table %s", key.c_str()));
-      }
-      tableKeys_.push_back(key);
-      pins_.push_back(t);
-      scope_.push_back(ScopeTable{ref.bindingName(), t.get()});
-      tablesRaw_.push_back(t.get());
-    }
-    return Status::ok();
-  }
-
-  Status expandItems() {
-    for (const SelectItem& item : sel_.items) {
-      if (item.expr->kind() == ExprKind::kStar) {
-        const auto& star = static_cast<const StarExpr&>(*item.expr);
-        if (!item.alias.empty()) {
-          return Status::invalidArgument("'*' cannot be aliased");
-        }
-        bool matched = false;
-        for (const auto& st : scope_) {
-          if (!star.qualifier.empty() &&
-              !util::iequals(star.qualifier, st.bindingName)) {
-            continue;
-          }
-          matched = true;
-          for (const auto& col : st.table->schema().columns()) {
-            SelectItem expanded;
-            expanded.expr = std::make_unique<ColumnRef>(
-                scope_.size() > 1 ? st.bindingName : "", col.name);
-            expanded.alias = col.name;
-            items_.push_back(std::move(expanded));
-          }
-        }
-        if (!matched) {
-          return Status::notFound(util::format(
-              "'%s.*' does not match any table", star.qualifier.c_str()));
-        }
-        continue;
-      }
-      items_.push_back(item.clone());
-    }
-    if (items_.empty()) {
-      return Status::invalidArgument("empty select list");
-    }
-
-    // Output column names.
-    for (const auto& item : items_) {
-      outputNames_.push_back(item.alias.empty() ? item.expr->toSql()
-                                                : item.alias);
-    }
-
-    // Aggregate extraction.
-    bool anyAgg = false;
-    for (const auto& item : items_) {
-      if (containsAggregate(*item.expr)) anyAgg = true;
-    }
-    isAggregateQuery_ = anyAgg || !sel_.groupBy.empty();
-    if (sel_.having && !isAggregateQuery_) {
-      return Status::invalidArgument("HAVING requires GROUP BY");
-    }
-    if (isAggregateQuery_) {
-      for (auto& item : items_) {
-        QSERV_ASSIGN_OR_RETURN(item.expr,
-                               extractAggregates(std::move(item.expr), aggs_));
-      }
-      // HAVING may reference aggregates; its calls share the same slot list
-      // so they accumulate alongside the select items'.
-      if (sel_.having) {
-        QSERV_ASSIGN_OR_RETURN(
-            havingExpr_, extractAggregates(sel_.having->clone(), aggs_));
-      }
-      // Compile aggregate args and group-by keys.
-      for (const auto& spec : aggs_) {
-        if (spec.arg) {
-          QSERV_ASSIGN_OR_RETURN(auto compiled,
-                                 bindExpr(*spec.arg, scope_, registry_));
-          aggArgCompiled_.push_back(std::move(compiled));
-        } else {
-          aggArgCompiled_.push_back(nullptr);
-        }
-      }
-      for (const auto& g : sel_.groupBy) {
-        if (containsAggregate(*g)) {
-          return Status::invalidArgument("aggregate in GROUP BY");
-        }
-        QSERV_ASSIGN_OR_RETURN(auto compiled,
-                               bindExpr(*g, scope_, registry_));
-        groupKeyCompiled_.push_back(std::move(compiled));
-      }
-    }
-    // Compile item expressions (slot refs resolve through EvalCtx.extra).
-    for (const auto& item : items_) {
-      QSERV_ASSIGN_OR_RETURN(auto compiled,
-                             bindExpr(*item.expr, scope_, registry_));
-      itemCompiled_.push_back(std::move(compiled));
-      declaredTypes_.push_back(inferType(*item.expr));
-    }
-    if (havingExpr_) {
-      QSERV_ASSIGN_OR_RETURN(havingCompiled_,
-                             bindExpr(*havingExpr_, scope_, registry_));
-    }
-    return Status::ok();
-  }
-
-  Status planWhere() {
-    if (sel_.where && containsAggregate(*sel_.where)) {
-      return Status::invalidArgument("aggregates are not allowed in WHERE");
-    }
-    if (!sel_.where) return Status::ok();
-    std::vector<const Expr*> flat;
-    flattenConjuncts(sel_.where.get(), flat);
-    for (const Expr* e : flat) {
-      Conjunct c;
-      c.expr = e;
-      std::vector<bool> used(scope_.size(), false);
-      QSERV_RETURN_IF_ERROR(collectReferencedTables(*e, scope_, used));
-      for (std::size_t t = 0; t < used.size(); ++t) {
-        if (used[t]) {
-          c.tables.push_back(static_cast<int>(t));
-          c.maxTable = static_cast<int>(t);
-        }
-      }
-      conjuncts_.push_back(std::move(c));
-    }
-    return Status::ok();
-  }
-
-  /// COUNT(*) pushdown attempt: true when the result row was produced.
-  /// Applies only when every conjunct is a single-table kernel shape and no
-  /// ordered index could serve one of the kernel columns (an index probe
-  /// reads fewer rows than even a vectorized scan).
-  Result<bool> tryCountPushdown() {
-    std::vector<const Expr*> mine;
-    for (const auto& c : conjuncts_) {
-      if (c.tables.size() != 1 || c.tables[0] != 0) return false;
-      mine.push_back(c.expr);
-    }
-    if (mine.empty()) return false;
-    QSERV_ASSIGN_OR_RETURN(
-        ScanFilter sf, compileScanFilter(mine, scope_, 0, registry_));
-    if (!sf.hasKernels() || !sf.residuals().empty()) return false;
-    const Table& table = *tablesRaw_[0];
-    for (std::size_t col : sf.kernelColumns()) {
-      if (db_.findIndex(tableKeys_[0], table.schema().column(col).name)) {
-        return false;
-      }
-    }
-    std::int64_t count = 0;
-    if (sf.prunes(table)) {
-      ++stats_.zoneMapPrunes;
-      stats_.zoneMapRowsSkipped += table.numRows();
-    } else {
-      stats_.rowsScanned += table.numRows();
-      stats_.rowsScannedByTable[tableKeys_[0]] += table.numRows();
-      ++stats_.vectorizedScans;
-      stats_.vectorRowsIn += table.numRows();
-      count = static_cast<std::int64_t>(sf.count(table));
-      stats_.vectorRowsOut += static_cast<std::uint64_t>(count);
-    }
-    resultRows_.push_back({Value(count)});
+  /// A zone-map contradiction (predicate range outside the column's
+  /// [min,max], or a NULL test the null counts rule out) skips table \p t's
+  /// access path — index probe included — without touching a row.
+  bool zonePruned(std::size_t t) {
+    const TableAccess& a = p_.access[t];
+    if (!a.filter || !a.filter->prunes(*p_.tables[t])) return false;
+    ++stats_.zoneMapPrunes;
+    stats_.zoneMapRowsSkipped += p_.tables[t]->numRows();
     return true;
   }
 
-  /// Candidate row list for table \p t: applies its single-table conjuncts,
-  /// using an ordered index for equality / IN / BETWEEN when available.
-  Result<std::vector<std::size_t>> candidateRows(std::size_t t) {
-    const Table& table = *tablesRaw_[t];
-    // Gather this table's single-table conjuncts.
-    std::vector<const Expr*> mine;
-    for (const auto& c : conjuncts_) {
-      if (c.tables.size() == 1 && c.tables[0] == static_cast<int>(t)) {
-        mine.push_back(c.expr);
-      }
-    }
+  void countScan(std::size_t t) {
+    const std::size_t n = p_.tables[t]->numRows();
+    stats_.rowsScanned += n;
+    stats_.rowsScannedByTable[p_.tableKeys[t]] += n;
+  }
 
-    // Vectorized pre-pass: compile the kernelizable conjuncts. A zone-map
-    // contradiction (predicate range outside the column's [min,max], or a
-    // NULL test the null counts rule out) skips the scan — and the index
-    // probe — without touching a row.
-    std::optional<ScanFilter> scanFilter;
-    if (vectorizedFilterEnabled()) {
-      QSERV_ASSIGN_OR_RETURN(ScanFilter sf,
-                             compileScanFilter(mine, scope_, t, registry_));
-      if (sf.hasKernels() && sf.prunes(table)) {
-        ++stats_.zoneMapPrunes;
-        stats_.zoneMapRowsSkipped += table.numRows();
-        return std::vector<std::size_t>{};
-      }
-      scanFilter = std::move(sf);
-    }
-
-    // Try an index probe: col = const | col IN (consts) | col BETWEEN.
-    std::vector<std::size_t> rows;
-    bool indexed = false;
-    std::size_t indexConjunct = 0;
-    for (std::size_t ci = 0; ci < mine.size() && !indexed; ++ci) {
-      const Expr* e = mine[ci];
-      const ColumnRef* col = nullptr;
-      std::vector<Value> eqKeys;
-      Value lo, hi;
-      bool isRange = false;
-      if (e->kind() == ExprKind::kBinary) {
-        const auto* b = static_cast<const BinaryExpr*>(e);
-        if (b->op == BinOp::kEq) {
-          const Expr *cr = nullptr, *lit = nullptr;
-          if (b->lhs->kind() == ExprKind::kColumnRef && isConstExpr(*b->rhs)) {
-            cr = b->lhs.get();
-            lit = b->rhs.get();
-          } else if (b->rhs->kind() == ExprKind::kColumnRef &&
-                     isConstExpr(*b->lhs)) {
-            cr = b->rhs.get();
-            lit = b->lhs.get();
-          }
-          if (cr != nullptr) {
-            QSERV_ASSIGN_OR_RETURN(Value v, evalConstExpr(*lit, registry_));
-            col = static_cast<const ColumnRef*>(cr);
-            eqKeys.push_back(std::move(v));
-          }
-        }
-      } else if (e->kind() == ExprKind::kIn) {
-        const auto* in = static_cast<const InExpr*>(e);
-        if (!in->negated && in->expr->kind() == ExprKind::kColumnRef) {
-          bool allConst = true;
-          for (const auto& item : in->list) {
-            if (!isConstExpr(*item)) allConst = false;
-          }
-          if (allConst) {
-            col = static_cast<const ColumnRef*>(in->expr.get());
-            for (const auto& item : in->list) {
-              QSERV_ASSIGN_OR_RETURN(Value v, evalConstExpr(*item, registry_));
-              eqKeys.push_back(std::move(v));
-            }
-          }
-        }
-      } else if (e->kind() == ExprKind::kBetween) {
-        const auto* bt = static_cast<const BetweenExpr*>(e);
-        if (!bt->negated && bt->expr->kind() == ExprKind::kColumnRef &&
-            isConstExpr(*bt->lo) && isConstExpr(*bt->hi)) {
-          col = static_cast<const ColumnRef*>(bt->expr.get());
-          QSERV_ASSIGN_OR_RETURN(lo, evalConstExpr(*bt->lo, registry_));
-          QSERV_ASSIGN_OR_RETURN(hi, evalConstExpr(*bt->hi, registry_));
-          isRange = true;
-        }
-      }
-      if (col == nullptr) continue;
-      // The column must belong to this table.
-      auto slot = resolveColumn(*col, scope_);
-      if (!slot.isOk() || slot.value().tableIdx != t) continue;
-      auto index = db_.findIndex(tableKeys_[t], col->column);
-      if (!index) continue;
-      if (isRange) {
-        rows = index->lookupRange(lo, hi);
-      } else {
-        for (const auto& k : eqKeys) {
-          auto hits = index->lookup(k);
-          rows.insert(rows.end(), hits.begin(), hits.end());
-        }
-        std::sort(rows.begin(), rows.end());
-        rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-      }
-      indexed = true;
-      indexConjunct = ci;
-      ++stats_.indexLookups;
-    }
-
-    std::vector<std::size_t> out;
-    std::vector<std::size_t> rowCursor(scope_.size(), 0);
-    EvalCtx ctx{tablesRaw_, rowCursor, {}};
-    std::vector<CompiledExprPtr> filters;
-    auto keep = [&](std::size_t r) {
-      rowCursor[t] = r;
-      for (const auto& f : filters) {
-        if (!f->eval(ctx).isTrue()) return false;
-      }
-      return true;
-    };
-    if (indexed) {
-      // Index-probed rows are point reads, not part of a sequential scan;
-      // they are charged through indexLookups in the cost model and are
-      // deliberately absent from rowsScannedByTable (which feeds
-      // density-scaled scan-bandwidth accounting). The probe already
-      // applied its conjunct; the rest run row-at-a-time (probes return
-      // few rows, not worth vectorizing).
-      for (std::size_t ci = 0; ci < mine.size(); ++ci) {
-        if (ci == indexConjunct) continue;
-        QSERV_ASSIGN_OR_RETURN(auto compiled,
-                               bindExpr(*mine[ci], scope_, registry_));
-        filters.push_back(std::move(compiled));
-      }
-      stats_.rowsScanned += rows.size();
-      for (std::size_t r : rows) {
-        if (keep(r)) out.push_back(r);
-      }
-      return out;
-    }
-
-    stats_.rowsScanned += table.numRows();
-    stats_.rowsScannedByTable[tableKeys_[t]] += table.numRows();
-    if (scanFilter && scanFilter->hasKernels()) {
-      // Batch path: kernels compact a selection vector over the typed
-      // columns; conjuncts outside the kernel shapes run per surviving row
-      // through the scalar path (identical semantics, see vector_eval.h).
+  void countPushdown() {
+    std::int64_t count = 0;
+    if (!zonePruned(0)) {
+      const Table& table = *p_.tables[0];
+      countScan(0);
       ++stats_.vectorizedScans;
       stats_.vectorRowsIn += table.numRows();
-      std::vector<std::size_t> survivors;
-      scanFilter->run(table, survivors);
-      stats_.vectorRowsOut += survivors.size();
-      if (scanFilter->residuals().empty()) return survivors;
-      for (std::size_t ci : scanFilter->residuals()) {
-        QSERV_ASSIGN_OR_RETURN(auto compiled,
-                               bindExpr(*mine[ci], scope_, registry_));
-        filters.push_back(std::move(compiled));
-      }
-      stats_.fallbackRows += survivors.size();
-      for (std::size_t r : survivors) {
-        if (keep(r)) out.push_back(r);
-      }
-      return out;
+      count = static_cast<std::int64_t>(p_.access[0].filter->count(table));
+      stats_.vectorRowsOut += static_cast<std::uint64_t>(count);
     }
+    resultRows_.push_back({Value(count)});
+  }
 
-    // Row-at-a-time scan (vectorization disabled or nothing kernelized).
-    for (const Expr* e : mine) {
-      QSERV_ASSIGN_OR_RETURN(auto compiled, bindExpr(*e, scope_, registry_));
-      filters.push_back(std::move(compiled));
+  /// Candidate rows of table \p t: its access path, then its per-row
+  /// conjuncts.
+  std::vector<std::size_t> candidateRows(std::size_t t) {
+    TableAccess& a = p_.access[t];
+    const Table& table = *p_.tables[t];
+    if (zonePruned(t)) return {};
+    std::vector<std::size_t> rows;
+    switch (a.kind) {
+      case TableAccess::Kind::kIndexProbe:
+        // Index-probed rows are point reads, not part of a sequential scan;
+        // they are charged through indexLookups in the cost model and are
+        // deliberately absent from rowsScannedByTable (which feeds
+        // density-scaled scan-bandwidth accounting). The remaining
+        // conjuncts run row-at-a-time (probes return few rows).
+        if (a.range) {
+          rows = a.index->lookupRange(a.range->first, a.range->second);
+        } else {
+          for (const auto& k : a.keys) {
+            auto hits = a.index->lookup(k);
+            rows.insert(rows.end(), hits.begin(), hits.end());
+          }
+          std::sort(rows.begin(), rows.end());
+          rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+        }
+        ++stats_.indexLookups;
+        stats_.rowsScanned += rows.size();
+        break;
+      case TableAccess::Kind::kKernelScan:
+        // Kernels compact a selection vector over the typed columns; the
+        // residuals run per surviving row through the scalar path
+        // (identical semantics, see vector_eval.h).
+        countScan(t);
+        ++stats_.vectorizedScans;
+        stats_.vectorRowsIn += table.numRows();
+        a.filter->run(table, rows);
+        stats_.vectorRowsOut += rows.size();
+        if (!a.rowFilters.empty()) stats_.fallbackRows += rows.size();
+        break;
+      case TableAccess::Kind::kRowScan:
+        countScan(t);
+        rows.resize(table.numRows());
+        std::iota(rows.begin(), rows.end(), std::size_t{0});
+        break;
     }
-    out.reserve(table.numRows());
-    for (std::size_t r = 0; r < table.numRows(); ++r) {
-      if (keep(r)) out.push_back(r);
+    if (a.rowFilters.empty()) return rows;
+    std::vector<std::size_t> rowCursor(p_.scope.size(), 0);
+    EvalCtx ctx{p_.tables, rowCursor, {}};
+    std::size_t kept = 0;
+    for (std::size_t r : rows) {
+      rowCursor[t] = r;
+      bool keep = true;
+      for (const auto& f : a.rowFilters) {
+        if (!f->eval(ctx).isTrue()) {
+          keep = false;
+          break;
+        }
+      }
+      if (keep) rows[kept++] = r;
     }
-    return out;
+    rows.resize(kept);
+    return rows;
   }
 
   Status enumerateTuples() {
-    const std::size_t k = scope_.size();
-    // Constant conjuncts (no column references) are bound — surfacing
-    // unknown-function errors, e.g. an unrewritten qserv_areaspec_box — and
-    // evaluated once; a non-true constant predicate empties the result.
-    for (const auto& c : conjuncts_) {
-      if (!c.tables.empty()) continue;
-      QSERV_ASSIGN_OR_RETURN(auto compiled,
-                             bindExpr(*c.expr, scope_, registry_));
+    const std::size_t k = p_.scope.size();
+    // Constant conjuncts are evaluated once; a non-true constant predicate
+    // empties the result.
+    for (const auto& c : p_.constantConjuncts) {
       EvalCtx ctx{{}, {}, {}};
-      if (!compiled->eval(ctx).isTrue()) return Status::ok();
+      if (!c->eval(ctx).isTrue()) return Status::ok();
     }
     if (k == 0) {
-      // SELECT without FROM: one empty tuple, unless WHERE rejects it.
-      if (sel_.where) {
-        QSERV_ASSIGN_OR_RETURN(auto w,
-                               bindExpr(*sel_.where, scope_, registry_));
-        EvalCtx ctx{{}, {}, {}};
-        if (!w->eval(ctx).isTrue()) return Status::ok();
-      }
-      tuples_.push_back({});
+      tuples_.push_back({});  // SELECT without FROM: one empty tuple
       return Status::ok();
     }
 
-    // Stage 0.
-    QSERV_ASSIGN_OR_RETURN(auto rows0, candidateRows(0));
+    auto rows0 = candidateRows(0);
     tuples_.reserve(rows0.size());
     for (std::size_t r : rows0) tuples_.push_back({r});
 
-    // Residual conjuncts spanning >1 table, indexed by their max table.
     for (std::size_t t = 1; t < k && !tuples_.empty(); ++t) {
-      QSERV_ASSIGN_OR_RETURN(auto rows, candidateRows(t));
-
-      // Find equi-join conjuncts usable at this stage: expr(lhs over
-      // tables < t) = expr(rhs over exactly {t}).
-      std::vector<std::pair<const Expr*, const Expr*>> joinKeys;
-      for (const auto& c : conjuncts_) {
-        if (c.expr->kind() != ExprKind::kBinary) continue;
-        const auto* b = static_cast<const BinaryExpr*>(c.expr);
-        if (b->op != BinOp::kEq) continue;
-        if (c.maxTable != static_cast<int>(t) || c.tables.size() < 2) continue;
-        auto sideTables = [&](const Expr& e) -> Result<std::vector<int>> {
-          std::vector<bool> used(scope_.size(), false);
-          QSERV_RETURN_IF_ERROR(collectReferencedTables(e, scope_, used));
-          std::vector<int> out;
-          for (std::size_t i = 0; i < used.size(); ++i) {
-            if (used[i]) out.push_back(static_cast<int>(i));
-          }
-          return out;
-        };
-        QSERV_ASSIGN_OR_RETURN(auto lhsTables, sideTables(*b->lhs));
-        QSERV_ASSIGN_OR_RETURN(auto rhsTables, sideTables(*b->rhs));
-        auto onlyT = [&](const std::vector<int>& v) {
-          return v.size() == 1 && v[0] == static_cast<int>(t);
-        };
-        auto allBelowT = [&](const std::vector<int>& v) {
-          return !v.empty() && v.back() < static_cast<int>(t);
-        };
-        if (onlyT(rhsTables) && allBelowT(lhsTables)) {
-          joinKeys.emplace_back(b->lhs.get(), b->rhs.get());
-        } else if (onlyT(lhsTables) && allBelowT(rhsTables)) {
-          joinKeys.emplace_back(b->rhs.get(), b->lhs.get());
-        }
-      }
-
-      // Zone-based spatial join: when no equi key hashes this stage, look
-      // for a near-neighbor conjunct (qserv_angSep/scisql_angSep < r)
-      // before falling back to the nested loop (see sql/spatial_join.h).
-      std::optional<SpatialJoinSpec> spatial;
-      if (joinKeys.empty() && spatialJoinEnabled()) {
-        for (const auto& c : conjuncts_) {
-          if (c.maxTable != static_cast<int>(t) || c.tables.size() < 2) {
-            continue;
-          }
-          QSERV_ASSIGN_OR_RETURN(
-              auto m, matchSpatialJoin(*c.expr, scope_, t, registry_));
-          if (m) {
-            spatial = std::move(m);
-            break;
-          }
-        }
-      }
-
-      // Residual conjuncts fully bound at this stage (excluding per-table
-      // conjuncts, already applied; equi keys, already used; and the
-      // spatial conjunct, applied exactly during the probe).
-      std::vector<CompiledExprPtr> residual;
-      for (const auto& c : conjuncts_) {
-        if (c.maxTable != static_cast<int>(t) || c.tables.size() < 2) continue;
-        if (spatial && c.expr == spatial->conjunct) continue;
-        bool usedAsJoinKey = false;
-        for (auto& [probe, build] : joinKeys) {
-          if (c.expr->kind() == ExprKind::kBinary) {
-            const auto* b = static_cast<const BinaryExpr*>(c.expr);
-            if ((b->lhs.get() == probe && b->rhs.get() == build) ||
-                (b->rhs.get() == probe && b->lhs.get() == build)) {
-              usedAsJoinKey = true;
-            }
-          }
-        }
-        if (usedAsJoinKey) continue;
-        QSERV_ASSIGN_OR_RETURN(auto compiled,
-                               bindExpr(*c.expr, scope_, registry_));
-        residual.push_back(std::move(compiled));
-      }
-
+      auto rows = candidateRows(t);
+      JoinStage& stage = p_.joins[t - 1];
       std::vector<std::vector<std::size_t>> next;
       std::vector<std::size_t> rowCursor(k, 0);
-      EvalCtx ctx{tablesRaw_, rowCursor, {}};
+      EvalCtx ctx{p_.tables, rowCursor, {}};
       // Residuals stream per pair: emit() completes the cursor (the caller
       // has set rowCursor[0..t-1] from the tuple), runs the filters, and
       // materializes the extended tuple only when every one passes — peak
@@ -904,7 +305,7 @@ class SelectExec {
       };
       auto emit = [&](const std::vector<std::size_t>& tup, std::size_t r) {
         rowCursor[t] = r;
-        for (const auto& f : residual) {
+        for (const auto& f : stage.residuals) {
           if (!f->eval(ctx).isTrue()) return;
         }
         auto extended = tup;
@@ -912,100 +313,90 @@ class SelectExec {
         next.push_back(std::move(extended));
       };
 
-      if (!joinKeys.empty()) {
-        // Hash join: build on table t's candidates.
-        std::vector<CompiledExprPtr> buildKeys, probeKeys;
-        for (auto& [probe, build] : joinKeys) {
-          QSERV_ASSIGN_OR_RETURN(auto bk, bindExpr(*build, scope_, registry_));
-          QSERV_ASSIGN_OR_RETURN(auto pk, bindExpr(*probe, scope_, registry_));
-          buildKeys.push_back(std::move(bk));
-          probeKeys.push_back(std::move(pk));
-        }
-        std::unordered_map<GroupKey, std::vector<std::size_t>, ValueKeyHash>
-            hash;
-        for (std::size_t r : rows) {
-          rowCursor[t] = r;
-          GroupKey key;
-          bool hasNull = false;
-          for (const auto& bk : buildKeys) {
-            Value v = bk->eval(ctx);
-            if (v.isNull()) hasNull = true;
-            key.values.push_back(std::move(v));
+      switch (stage.kind) {
+        case JoinStage::Kind::kHash: {
+          // Build on table t's candidates.
+          std::unordered_map<GroupKey, std::vector<std::size_t>, GroupKeyHash>
+              hash;
+          auto keyOf = [&](const std::vector<CompiledExprPtr>& exprs,
+                           GroupKey& key) {
+            for (const auto& e : exprs) {
+              key.values.push_back(e->eval(ctx));
+              if (key.values.back().isNull()) return false;  // NULL never joins
+            }
+            return true;
+          };
+          for (std::size_t r : rows) {
+            rowCursor[t] = r;
+            GroupKey key;
+            if (keyOf(stage.buildKeys, key)) hash[std::move(key)].push_back(r);
           }
-          if (hasNull) continue;  // NULL never joins
-          hash[std::move(key)].push_back(r);
-        }
-        for (const auto& tup : tuples_) {
-          setTupleCursor(tup);
-          GroupKey key;
-          bool hasNull = false;
-          for (const auto& pk : probeKeys) {
-            Value v = pk->eval(ctx);
-            if (v.isNull()) hasNull = true;
-            key.values.push_back(std::move(v));
+          for (const auto& tup : tuples_) {
+            setTupleCursor(tup);
+            GroupKey key;
+            if (!keyOf(stage.probeKeys, key)) continue;
+            auto it = hash.find(key);
+            if (it == hash.end()) continue;
+            for (std::size_t r : it->second) {
+              ++stats_.joinMatches;
+              emit(tup, r);
+            }
           }
-          if (hasNull) continue;
-          auto it = hash.find(key);
-          if (it == hash.end()) continue;
-          for (std::size_t r : it->second) {
-            ++stats_.joinMatches;
-            emit(tup, r);
+          break;
+        }
+        case JoinStage::Kind::kZone: {
+          // Dec-banded index over table t's candidates, probed with an RA
+          // window per outer tuple; the exact angSep comparison runs on
+          // every candidate so results match the nested loop bit-for-bit
+          // (candidates are re-sorted by row id so even the emission order
+          // is identical).
+          const SpatialJoinSpec& spatial = *stage.spatial;
+          ++stats_.spatialJoins;
+          QSERV_ASSIGN_OR_RETURN(
+              ZoneIndex zindex,
+              ZoneIndex::build(spatial, p_.scope, t, p_.tables, rows,
+                               registry_));
+          stats_.zoneJoinZonesBuilt += zindex.numZones();
+          const std::uint64_t totalPairs =
+              static_cast<std::uint64_t>(tuples_.size()) * rows.size();
+          std::uint64_t candidates = 0;
+          std::vector<std::uint32_t> hits;
+          for (const auto& tup : tuples_) {
+            setTupleCursor(tup);
+            Value raV = stage.outerRa->eval(ctx);
+            Value decV = stage.outerDec->eval(ctx);
+            // NULL/non-numeric/non-finite outer coordinates never join.
+            if (!raV.isNumeric() || !decV.isNumeric()) continue;
+            double ra = raV.toDouble();
+            double dec = decV.toDouble();
+            if (!std::isfinite(ra) || !std::isfinite(dec)) continue;
+            hits.clear();
+            zindex.probe(ra, dec, hits, stats_.zoneJoinZonesProbed);
+            candidates += hits.size();
+            std::sort(hits.begin(), hits.end(),
+                      [&](std::uint32_t a, std::uint32_t b) {
+                        return zindex.entry(a).row < zindex.entry(b).row;
+                      });
+            for (std::uint32_t h : hits) {
+              const ZoneIndex::Entry& e = zindex.entry(h);
+              if (!spatial.matches(ra, dec, e.raOrig, e.dec)) continue;
+              emit(tup, e.row);
+            }
           }
+          // The cost model charges pairs actually examined; the pruned
+          // remainder of the cross product is the zone algorithm's win.
+          stats_.pairsEvaluated += candidates;
+          stats_.zoneJoinCandidates += candidates;
+          stats_.zoneJoinPairsPruned += totalPairs - candidates;
+          break;
         }
-      } else if (spatial) {
-        // Zone join: dec-banded index over table t's candidates, probed
-        // with an RA window per outer tuple; the exact angSep comparison
-        // runs on every candidate so results match the nested loop
-        // bit-for-bit (candidates are re-sorted by row id so even the
-        // emission order is identical).
-        ++stats_.spatialJoins;
-        QSERV_ASSIGN_OR_RETURN(
-            ZoneIndex zindex,
-            ZoneIndex::build(*spatial, scope_, t, tablesRaw_, rows,
-                             registry_));
-        stats_.zoneJoinZonesBuilt += zindex.numZones();
-        QSERV_ASSIGN_OR_RETURN(auto outerRa,
-                               bindExpr(*spatial->outerRa, scope_, registry_));
-        QSERV_ASSIGN_OR_RETURN(
-            auto outerDec, bindExpr(*spatial->outerDec, scope_, registry_));
-        const std::uint64_t totalPairs =
-            static_cast<std::uint64_t>(tuples_.size()) * rows.size();
-        std::uint64_t candidates = 0;
-        std::vector<std::uint32_t> hits;
-        for (const auto& tup : tuples_) {
-          setTupleCursor(tup);
-          Value raV = outerRa->eval(ctx);
-          Value decV = outerDec->eval(ctx);
-          // NULL/non-numeric/non-finite outer coordinates never join.
-          if (!raV.isNumeric() || !decV.isNumeric()) continue;
-          double ra = raV.toDouble();
-          double dec = decV.toDouble();
-          if (!std::isfinite(ra) || !std::isfinite(dec)) continue;
-          hits.clear();
-          zindex.probe(ra, dec, hits, stats_.zoneJoinZonesProbed);
-          candidates += hits.size();
-          std::sort(hits.begin(), hits.end(),
-                    [&](std::uint32_t a, std::uint32_t b) {
-                      return zindex.entry(a).row < zindex.entry(b).row;
-                    });
-          for (std::uint32_t h : hits) {
-            const ZoneIndex::Entry& e = zindex.entry(h);
-            if (!spatial->matches(ra, dec, e.raOrig, e.dec)) continue;
-            emit(tup, e.row);
+        case JoinStage::Kind::kNestedLoop:
+          stats_.pairsEvaluated += tuples_.size() * rows.size();
+          for (const auto& tup : tuples_) {
+            setTupleCursor(tup);
+            for (std::size_t r : rows) emit(tup, r);
           }
-        }
-        // The cost model charges pairs actually examined; the pruned
-        // remainder of the cross product is the zone algorithm's win.
-        stats_.pairsEvaluated += candidates;
-        stats_.zoneJoinCandidates += candidates;
-        stats_.zoneJoinPairsPruned += totalPairs - candidates;
-      } else {
-        // Streamed nested loop.
-        stats_.pairsEvaluated += tuples_.size() * rows.size();
-        for (const auto& tup : tuples_) {
-          setTupleCursor(tup);
-          for (std::size_t r : rows) emit(tup, r);
-        }
+          break;
       }
       tuples_ = std::move(next);
     }
@@ -1013,18 +404,18 @@ class SelectExec {
   }
 
   Status consumeProjection() {
-    std::vector<std::size_t> rowCursor(scope_.size(), 0);
-    EvalCtx ctx{tablesRaw_, rowCursor, {}};
-    bool canShortCircuit = sel_.limit && sel_.orderBy.empty();
+    std::vector<std::size_t> rowCursor(p_.scope.size(), 0);
+    EvalCtx ctx{p_.tables, rowCursor, {}};
+    bool canShortCircuit = p_.stmt->limit && p_.stmt->orderBy.empty();
     for (const auto& tup : tuples_) {
       if (canShortCircuit &&
-          static_cast<std::int64_t>(resultRows_.size()) >= *sel_.limit) {
+          static_cast<std::int64_t>(resultRows_.size()) >= *p_.stmt->limit) {
         break;
       }
       for (std::size_t i = 0; i < tup.size(); ++i) rowCursor[i] = tup[i];
       std::vector<Value> row;
-      row.reserve(itemCompiled_.size());
-      for (const auto& item : itemCompiled_) row.push_back(item->eval(ctx));
+      row.reserve(p_.itemExprs.size());
+      for (const auto& item : p_.itemExprs) row.push_back(item->eval(ctx));
       resultRows_.push_back(std::move(row));
     }
     return Status::ok();
@@ -1038,39 +429,39 @@ class SelectExec {
     std::unordered_map<GroupKey, Group, GroupKeyHash> groups;
     std::vector<GroupKey> order;  // first-seen group order
 
-    std::vector<std::size_t> rowCursor(scope_.size(), 0);
-    EvalCtx ctx{tablesRaw_, rowCursor, {}};
+    std::vector<std::size_t> rowCursor(p_.scope.size(), 0);
+    EvalCtx ctx{p_.tables, rowCursor, {}};
     for (const auto& tup : tuples_) {
       for (std::size_t i = 0; i < tup.size(); ++i) rowCursor[i] = tup[i];
       GroupKey key;
-      for (const auto& g : groupKeyCompiled_) {
+      for (const auto& g : p_.groupKeys) {
         key.values.push_back(g->eval(ctx));
       }
       auto it = groups.find(key);
       if (it == groups.end()) {
         Group g;
-        g.accs.resize(aggs_.size());
+        g.accs.resize(p_.aggs.size());
         g.representative = tup;
         it = groups.emplace(key, std::move(g)).first;
         order.push_back(key);
       }
       Group& g = it->second;
-      for (std::size_t a = 0; a < aggs_.size(); ++a) {
+      for (std::size_t a = 0; a < p_.aggs.size(); ++a) {
         Value v;
-        if (aggArgCompiled_[a]) v = aggArgCompiled_[a]->eval(ctx);
-        g.accs[a].accumulate(aggs_[a].kind, v);
+        if (p_.aggArgs[a]) v = p_.aggArgs[a]->eval(ctx);
+        g.accs[a].accumulate(p_.aggs[a].kind, v);
       }
     }
 
-    if (groups.empty() && sel_.groupBy.empty()) {
+    if (groups.empty() && p_.stmt->groupBy.empty()) {
       // Global aggregate over empty input: one row; COUNT()=0, others NULL.
       std::vector<Value> aggValues;
       AggAccumulator empty;
-      for (const auto& spec : aggs_) {
+      for (const auto& spec : p_.aggs) {
         aggValues.push_back(empty.finalize(spec.kind));
       }
       std::vector<Value> row;
-      for (const auto& item : items_) {
+      for (const auto& item : p_.items) {
         ExprPtr nulled = cloneWithColumnsAsNull(*item.expr);
         QSERV_ASSIGN_OR_RETURN(auto compiled,
                                bindExpr(*nulled, {}, registry_));
@@ -1084,25 +475,25 @@ class SelectExec {
     for (const GroupKey& key : order) {
       const Group& g = groups.at(key);
       std::vector<Value> aggValues;
-      aggValues.reserve(aggs_.size());
-      for (std::size_t a = 0; a < aggs_.size(); ++a) {
-        aggValues.push_back(g.accs[a].finalize(aggs_[a].kind));
+      aggValues.reserve(p_.aggs.size());
+      for (std::size_t a = 0; a < p_.aggs.size(); ++a) {
+        aggValues.push_back(g.accs[a].finalize(p_.aggs[a].kind));
       }
       for (std::size_t i = 0; i < g.representative.size(); ++i) {
         rowCursor[i] = g.representative[i];
       }
-      EvalCtx gctx{tablesRaw_, rowCursor, aggValues};
-      if (havingCompiled_ && !havingCompiled_->eval(gctx).isTrue()) continue;
+      EvalCtx gctx{p_.tables, rowCursor, aggValues};
+      if (p_.having && !p_.having->eval(gctx).isTrue()) continue;
       std::vector<Value> row;
-      row.reserve(itemCompiled_.size());
-      for (const auto& item : itemCompiled_) row.push_back(item->eval(gctx));
+      row.reserve(p_.itemExprs.size());
+      for (const auto& item : p_.itemExprs) row.push_back(item->eval(gctx));
       resultRows_.push_back(std::move(row));
     }
     return Status::ok();
   }
 
-  Status orderAndLimit() {
-    if (sel_.distinct) {
+  void orderAndLimit() {
+    if (p_.stmt->distinct) {
       // Deduplicate rows (sqlEquals semantics via the group-key hash),
       // keeping first occurrences.
       std::unordered_map<GroupKey, bool, GroupKeyHash> seen;
@@ -1117,41 +508,20 @@ class SelectExec {
       }
       resultRows_ = std::move(unique);
     }
-    if (!sel_.orderBy.empty()) {
-      // Resolve each ORDER BY expression to an output column: by alias, by
-      // output name, or by serialized expression text.
-      std::vector<std::pair<std::size_t, bool>> keys;  // (column, desc)
-      for (const auto& ob : sel_.orderBy) {
-        std::string want = ob.expr->toSql();
-        std::optional<std::size_t> found;
-        for (std::size_t i = 0; i < outputNames_.size(); ++i) {
-          if (util::iequals(outputNames_[i], want) ||
-              util::iequals(items_[i].alias, want)) {
-            found = i;
-            break;
-          }
-        }
-        if (!found) {
-          return Status::unimplemented(util::format(
-              "ORDER BY expression %s must appear in the select list",
-              want.c_str()));
-        }
-        keys.emplace_back(*found, ob.descending);
-      }
+    if (!p_.orderKeys.empty()) {
       std::stable_sort(resultRows_.begin(), resultRows_.end(),
                        [&](const auto& a, const auto& b) {
-                         for (auto [col, desc] : keys) {
+                         for (auto [col, desc] : p_.orderKeys) {
                            int c = a[col].compare(b[col]);
                            if (c != 0) return desc ? c > 0 : c < 0;
                          }
                          return false;
                        });
     }
-    if (sel_.limit &&
-        static_cast<std::int64_t>(resultRows_.size()) > *sel_.limit) {
-      resultRows_.resize(static_cast<std::size_t>(*sel_.limit));
+    if (p_.stmt->limit &&
+        static_cast<std::int64_t>(resultRows_.size()) > *p_.stmt->limit) {
+      resultRows_.resize(static_cast<std::size_t>(*p_.stmt->limit));
     }
-    return Status::ok();
   }
 
   Result<TablePtr> buildResultTable() {
@@ -1161,7 +531,7 @@ class SelectExec {
     // numerics is an error; a fully undeterminable all-NULL column defaults
     // to DOUBLE.
     Schema schema;
-    const std::size_t ncols = outputNames_.size();
+    const std::size_t ncols = p_.outputNames.size();
     for (std::size_t c = 0; c < ncols; ++c) {
       bool hasInt = false, hasDouble = false, hasString = false;
       for (const auto& row : resultRows_) {
@@ -1175,10 +545,10 @@ class SelectExec {
       if (hasString && (hasInt || hasDouble)) {
         return Status::internal(util::format(
             "column %s mixes string and numeric values",
-            outputNames_[c].c_str()));
+            p_.outputNames[c].c_str()));
       }
       std::optional<ColumnType> declared =
-          c < declaredTypes_.size() ? declaredTypes_[c] : std::nullopt;
+          c < p_.declaredTypes.size() ? p_.declaredTypes[c] : std::nullopt;
       ColumnType t;
       if (declared) {
         t = *declared;
@@ -1190,7 +560,7 @@ class SelectExec {
             : hasInt    ? ColumnType::kInt
                         : ColumnType::kDouble;
       }
-      schema.addColumn(ColumnDef{outputNames_[c], t});
+      schema.addColumn(ColumnDef{p_.outputNames[c], t});
     }
     auto table = std::make_shared<Table>("result", std::move(schema));
     for (const auto& row : resultRows_) {
@@ -1200,29 +570,9 @@ class SelectExec {
     return table;
   }
 
-  Database& db_;
-  const SelectStmt& sel_;
+  SelectPlan& p_;
   ExecStats& stats_;
   const FunctionRegistry& registry_;
-
-  std::vector<std::string> tableKeys_;
-  std::vector<TablePtr> pins_;
-  std::vector<ScopeTable> scope_;
-  std::vector<const Table*> tablesRaw_;
-
-  std::vector<SelectItem> items_;
-  std::vector<std::string> outputNames_;
-  std::vector<CompiledExprPtr> itemCompiled_;
-  std::vector<std::optional<ColumnType>> declaredTypes_;
-
-  bool isAggregateQuery_ = false;
-  std::vector<AggSpec> aggs_;
-  std::vector<CompiledExprPtr> aggArgCompiled_;
-  std::vector<CompiledExprPtr> groupKeyCompiled_;
-  ExprPtr havingExpr_;  // aggregate calls replaced with slot refs
-  CompiledExprPtr havingCompiled_;
-
-  std::vector<Conjunct> conjuncts_;
   std::vector<std::vector<std::size_t>> tuples_;
   std::vector<std::vector<Value>> resultRows_;
 };
@@ -1236,8 +586,8 @@ Result<TablePtr> emptyResult() {
 Result<TablePtr> executeSelect(Database& db, const SelectStmt& sel,
                                ExecStats& stats) {
   ++stats.statements;
-  SelectExec exec(db, sel, stats);
-  return exec.run();
+  QSERV_ASSIGN_OR_RETURN(SelectPlan plan, planSelect(db, sel));
+  return PlanRunner(plan, stats, db.functions()).run();
 }
 
 Result<TablePtr> executeStatement(Database& db, const Statement& stmt,

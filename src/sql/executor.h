@@ -1,13 +1,15 @@
 /// \file executor.h
 /// \brief Statement execution against a Database.
 ///
-/// The SELECT pipeline: resolve FROM tables -> expand `*` -> extract
-/// aggregates into slots -> split WHERE into per-table filters, equi-join
-/// keys, and residual predicates -> enumerate joined tuples (index probe,
-/// filtered scan, hash join, or nested loop) -> aggregate/group ->
-/// project -> order -> limit. This covers every query shape in the paper's
-/// evaluation (§6.2), including the near-neighbor self-join and the
-/// Object x Source equi-join with a residual spatial predicate.
+/// A SELECT runs in two steps. planSelect() (sql/plan.h) makes every
+/// structural decision once: shortcuts, each table's access path (index
+/// probe, kernel scan or row scan), each join stage (hash, zone or nested
+/// loop), aggregation, order and limit. executeSelect() then runs that plan:
+/// read candidate rows -> join them stage by stage -> aggregate/group ->
+/// project -> order -> limit, counting ExecStats as it goes. This covers
+/// every query shape in the paper's evaluation (§6.2), including the
+/// near-neighbor self-join and the Object x Source equi-join with a residual
+/// spatial predicate.
 #pragma once
 
 #include "sql/ast.h"
@@ -20,7 +22,7 @@ namespace qserv::sql {
 util::Result<TablePtr> executeStatement(Database& db, const Statement& stmt,
                                         ExecStats& stats);
 
-/// Execute a parsed SELECT.
+/// Plan and execute a parsed SELECT.
 util::Result<TablePtr> executeSelect(Database& db, const SelectStmt& sel,
                                      ExecStats& stats);
 

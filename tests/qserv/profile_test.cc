@@ -75,6 +75,9 @@ TEST_F(ProfileTest, ExplainLvUsesSecondaryIndex) {
   EXPECT_EQ(planValue(*r->result, "pruning").rfind("secondary-index", 0), 0u)
       << planValue(*r->result, "pruning");
   EXPECT_NE(planValue(*r->result, "chunk template"), "");
+  // The worker probes the chunk table's objectId index.
+  EXPECT_EQ(planValue(*r->result, "access").rfind("index probe", 0), 0u)
+      << planValue(*r->result, "access");
 }
 
 TEST_F(ProfileTest, ExplainHvIsFullSky) {

@@ -32,8 +32,6 @@ class WorkerTest : public ::testing::Test {
     std::size_t bestRows = 0;
     for (const auto& chunk : catalog->chunks) {
       ASSERT_TRUE(datagen::loadChunkIntoDatabase(*db_, chunk).isOk());
-      ASSERT_TRUE(
-          db_->createIndex(chunk.objects->name(), "subChunkId").isOk());
       chunks_.push_back(chunk.chunkId);
       // Edge chunks may carry only overlap rows; tests that need data use
       // the most populated chunk.
@@ -163,25 +161,10 @@ TEST_F(WorkerTest, SubchunkBuildAndCleanup) {
   EXPECT_FALSE(db_->hasTable(ovTable));
 }
 
-TEST_F(WorkerTest, SubchunkCachingKeepsTables) {
-  WorkerConfig wc;
-  wc.cacheSubchunks = true;
-  auto w = makeWorker(wc);
-  std::int32_t chunk = populatedChunk_;
-  sphgeom::Chunker chunker = config_.makeChunker();
-  std::int32_t sc = chunker.subChunksOf(chunk)[0];
-  std::string scTable = datagen::subChunkTableName("Object", chunk, sc);
-  std::string q = "-- SUBCHUNKS: " + std::to_string(sc) + "\n" +
-                  "SELECT COUNT(*) AS c FROM " + scTable + ";\n";
-  ASSERT_TRUE(runQuery(*w, chunk, q).isOk());
-  EXPECT_TRUE(db_->hasTable(scTable));
-}
-
 TEST_F(WorkerTest, SubchunkRowsPartitionTheChunk) {
-  // Union of subchunk tables == chunk table rows (build correctness).
-  WorkerConfig wc;
-  wc.cacheSubchunks = true;
-  auto w = makeWorker(wc);
+  // The per-subchunk counts the worker publishes sum to the chunk's rows
+  // (build correctness): executeScript unions one row per subchunk.
+  auto w = makeWorker();
   std::int32_t chunk = populatedChunk_;
   sphgeom::Chunker chunker = config_.makeChunker();
   auto subChunks = chunker.subChunksOf(chunk);
@@ -192,20 +175,19 @@ TEST_F(WorkerTest, SubchunkRowsPartitionTheChunk) {
     q += "SELECT COUNT(*) AS c FROM " +
          datagen::subChunkTableName("Object", chunk, sc) + ";\n";
   }
-  ASSERT_TRUE(runQuery(*w, chunk, q).isOk());
-  // Sum the published counts directly from the database.
+  auto payload = runQuery(*w, chunk, q);
+  ASSERT_TRUE(payload.isOk()) << payload.status().toString();
+  auto counts = sql::decodeTableBinary(*payload);
+  ASSERT_TRUE(counts.isOk()) << counts.status().toString();
+  ASSERT_EQ((*counts)->numRows(), subChunks.size());
+  std::int64_t got = 0;
+  for (std::size_t r = 0; r < (*counts)->numRows(); ++r) {
+    got += (*counts)->cell(r, 0).asInt();
+  }
   auto total =
       db_->execute("SELECT COUNT(*) FROM Object_" + std::to_string(chunk));
   ASSERT_TRUE(total.isOk());
-  std::int64_t expect = (*total)->cell(0, 0).asInt();
-  std::int64_t got = 0;
-  for (auto sc : subChunks) {
-    auto r = db_->execute("SELECT COUNT(*) FROM " +
-                          datagen::subChunkTableName("Object", chunk, sc));
-    ASSERT_TRUE(r.isOk());
-    got += (*r)->cell(0, 0).asInt();
-  }
-  EXPECT_EQ(got, expect);
+  EXPECT_EQ(got, (*total)->cell(0, 0).asInt());
 }
 
 TEST_F(WorkerTest, ObservablesScaleWithRowScale) {
