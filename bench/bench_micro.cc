@@ -7,6 +7,9 @@
 #include "bench_util.h"
 #include "datagen/catalog_gen.h"
 #include "datagen/partitioner.h"
+#include "qserv/dump_integrity.h"
+#include "qserv/merger.h"
+#include "qserv/observables_codec.h"
 #include "qserv/query_analysis.h"
 #include "sql/dump.h"
 #include "qserv/query_rewriter.h"
@@ -15,6 +18,7 @@
 #include "sphgeom/htm.h"
 #include "sql/database.h"
 #include "sql/parser.h"
+#include "sql/rowcodec.h"
 #include "util/md5.h"
 #include "util/rng.h"
 
@@ -186,6 +190,45 @@ void BM_DumpAndReplay1kRows(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_DumpAndReplay1kRows);
+
+/// One full-sky HV3's chunk results at paper geometry: 8,832 one-row
+/// partial aggregates, each a binary payload with the worker's observables
+/// and integrity trailers. A quadratic merge shows up here as a jump of
+/// orders of magnitude, not percent.
+void BM_MergeOneRowChunks(benchmark::State& state) {
+  constexpr std::int64_t kChunks = 8832;
+  sql::Schema schema({{"QS0_COUNT", sql::ColumnType::kInt},
+                      {"QS1_SUM", sql::ColumnType::kDouble},
+                      {"QS2_COUNT", sql::ColumnType::kInt},
+                      {"QS3_SUM", sql::ColumnType::kDouble},
+                      {"QS4_COUNT", sql::ColumnType::kInt},
+                      {"chunkId", sql::ColumnType::kInt}});
+  std::vector<std::string> payloads;
+  payloads.reserve(kChunks);
+  for (std::int64_t c = 0; c < kChunks; ++c) {
+    sql::Table partial("r", schema);
+    (void)partial.appendRow(std::vector<sql::Value>{
+        sql::Value(c % 41), sql::Value(12.5 * c), sql::Value(c % 41),
+        sql::Value(-0.5 * c), sql::Value(c % 41), sql::Value(c)});
+    std::string payload =
+        sql::encodeTableBinary(partial, "r_0123456789abcdef0123456789abcdef");
+    payload += core::encodeObservables(simio::WorkObservables{});
+    core::appendDumpChecksum(payload);
+    payloads.push_back(std::move(payload));
+  }
+  util::Stopwatch watch;
+  for (auto _ : state) {
+    core::ResultMerger merger("merged");
+    for (const std::string& payload : payloads) {
+      if (!merger.mergeDump(payload).isOk()) state.SkipWithError("merge");
+    }
+    benchmark::DoNotOptimize(merger.rowsMerged());
+  }
+  state.SetItemsProcessed(state.iterations() * kChunks);
+  qserv::bench::recordRate("bench.micro.merge_one_row_chunks_ns_per_iter",
+                           watch, state.iterations());
+}
+BENCHMARK(BM_MergeOneRowChunks)->Unit(benchmark::kMillisecond);
 
 // Writes the metrics snapshot at exit when QSERV_METRICS_JSON is set
 // (perf-smoke's BENCH_micro.json baseline).

@@ -1,6 +1,9 @@
 #include "qserv/batch_codec.h"
 
+#include <algorithm>
+
 #include "util/strings.h"
+#include "util/trace.h"
 
 namespace qserv::core {
 
@@ -10,17 +13,25 @@ using util::Status;
 namespace {
 
 constexpr std::string_view kBatchHeader = "-- QSERV-BATCH ";
+constexpr std::string_view kTraceHeader = "-- QSERV-TRACE: ";
+constexpr std::string_view kTemplateHeader = "--#TEMPLATE ";
 constexpr std::string_view kChunkHeader = "--#CHUNK ";
 constexpr std::string_view kFrameHeader = "--#FRAME ";
+/// The shortest chunk entry, "--#CHUNK 0\n": bounds the entries a payload
+/// can hold, whatever count its header claims.
+constexpr std::size_t kMinChunkEntryBytes = kChunkHeader.size() + 2;
 
 /// Parse a non-negative decimal integer starting at \p pos; advances \p pos
-/// past it. Returns -1 when no digits are present or the value overflows.
-std::int64_t parseInt(const std::string& s, std::size_t& pos) {
+/// past it. Returns -1 when no digits are present or the value exceeds
+/// \p max.
+std::int64_t parseInt(const std::string& s, std::size_t& pos,
+                      std::int64_t max = INT32_MAX) {
   std::size_t start = pos;
   std::int64_t value = 0;
   while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-    value = value * 10 + (s[pos] - '0');
-    if (value > INT32_MAX) return -1;
+    const std::int64_t digit = s[pos] - '0';
+    if (value > (max - digit) / 10) return -1;
+    value = value * 10 + digit;
     ++pos;
   }
   return pos == start ? -1 : value;
@@ -32,20 +43,46 @@ bool skipChar(const std::string& s, std::size_t& pos, char c) {
   return true;
 }
 
+bool skipText(const std::string& s, std::size_t& pos, std::string_view text) {
+  if (s.compare(pos, text.size(), text) != 0) return false;
+  pos += text.size();
+  return true;
+}
+
+bool isBinding(char c) {
+  switch (static_cast<TableBinding>(c)) {
+    case TableBinding::kKeep:
+    case TableBinding::kChunk:
+    case TableBinding::kSubChunk:
+    case TableBinding::kFullOverlap:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
-std::string encodeBatchRequest(const std::vector<BatchChunkRequest>& chunks,
-                               int streamWindow) {
-  std::size_t total = 64;
-  for (const auto& c : chunks) total += c.payload.size() + 32;
+std::string encodeBatchRequest(const BatchRequest& request) {
   std::string out;
-  out.reserve(total);
-  out += util::format("%s%zu %d\n", std::string(kBatchHeader).c_str(),
-                      chunks.size(), streamWindow);
-  for (const auto& c : chunks) {
-    out += util::format("%s%d %zu\n", std::string(kChunkHeader).c_str(),
-                        c.chunkId, c.payload.size());
-    out += c.payload;
+  out.reserve(128 + request.templateSql.size() + 16 * request.chunks.size());
+  out += kBatchHeader;
+  out += util::format("%zu %d\n", request.chunks.size(),
+                      request.streamWindow);
+  if (request.traceId != 0) out += util::traceHeaderLine(request.traceId);
+  out += classHeaderLine(request.queryClass);
+  out += kTemplateHeader;
+  out += request.aggregate ? "1 " : "0 ";
+  for (TableBinding b : request.bindings) out += static_cast<char>(b);
+  out += util::format(" %zu\n", request.templateSql.size());
+  out += request.templateSql;
+  out += '\n';
+  for (const BatchChunk& c : request.chunks) {
+    out += kChunkHeader;
+    out += std::to_string(c.chunkId);
+    for (std::int32_t sc : c.subChunkIds) {
+      out += ' ';
+      out += std::to_string(sc);
+    }
     out += '\n';
   }
   return out;
@@ -53,10 +90,9 @@ std::string encodeBatchRequest(const std::vector<BatchChunkRequest>& chunks,
 
 Result<BatchRequest> decodeBatchRequest(const std::string& payload) {
   std::size_t pos = 0;
-  if (payload.compare(0, kBatchHeader.size(), kBatchHeader) != 0) {
+  if (!skipText(payload, pos, kBatchHeader)) {
     return Status::invalidArgument("batch request: missing header");
   }
-  pos = kBatchHeader.size();
   std::int64_t count = parseInt(payload, pos);
   if (count < 0 || !skipChar(payload, pos, ' ')) {
     return Status::invalidArgument("batch request: bad chunk count");
@@ -67,31 +103,72 @@ Result<BatchRequest> decodeBatchRequest(const std::string& payload) {
   }
   BatchRequest out;
   out.streamWindow = static_cast<int>(window);
-  out.chunks.reserve(static_cast<std::size_t>(count));
+  if (skipText(payload, pos, kTraceHeader)) {
+    std::int64_t traceId = parseInt(payload, pos, INT64_MAX);
+    if (traceId <= 0 || !skipChar(payload, pos, '\n')) {
+      return Status::invalidArgument("batch request: bad trace header");
+    }
+    out.traceId = static_cast<std::uint64_t>(traceId);
+  }
+  if (skipText(payload, pos, classHeaderLine(QueryClass::kScan))) {
+    out.queryClass = QueryClass::kScan;
+  } else if (skipText(payload, pos,
+                      classHeaderLine(QueryClass::kInteractive))) {
+    out.queryClass = QueryClass::kInteractive;
+  } else {
+    return Status::invalidArgument("batch request: bad class header");
+  }
+  if (!skipText(payload, pos, kTemplateHeader)) {
+    return Status::invalidArgument("batch request: missing template");
+  }
+  if (skipText(payload, pos, "1 ")) {
+    out.aggregate = true;
+  } else if (!skipText(payload, pos, "0 ")) {
+    return Status::invalidArgument("batch request: bad aggregate flag");
+  }
+  while (pos < payload.size() && isBinding(payload[pos])) {
+    out.bindings.push_back(static_cast<TableBinding>(payload[pos++]));
+  }
+  if (!skipChar(payload, pos, ' ')) {
+    return Status::invalidArgument("batch request: bad table bindings");
+  }
+  std::int64_t len = parseInt(payload, pos);
+  if (len < 0 || !skipChar(payload, pos, '\n') ||
+      static_cast<std::size_t>(len) > payload.size() - pos) {
+    return Status::invalidArgument("batch request: bad template length");
+  }
+  out.templateSql = payload.substr(pos, static_cast<std::size_t>(len));
+  pos += static_cast<std::size_t>(len);
+  if (!skipChar(payload, pos, '\n')) {
+    return Status::invalidArgument("batch request: missing template end");
+  }
+  out.chunks.reserve(std::min(static_cast<std::size_t>(count),
+                              (payload.size() - pos) / kMinChunkEntryBytes));
   for (std::int64_t i = 0; i < count; ++i) {
-    if (payload.compare(pos, kChunkHeader.size(), kChunkHeader) != 0) {
+    if (!skipText(payload, pos, kChunkHeader)) {
       return Status::invalidArgument(
-          util::format("batch request: missing chunk frame %lld",
+          util::format("batch request: missing chunk entry %lld",
                        static_cast<long long>(i)));
     }
-    pos += kChunkHeader.size();
+    BatchChunk chunk;
     std::int64_t chunkId = parseInt(payload, pos);
-    if (chunkId < 0 || !skipChar(payload, pos, ' ')) {
+    if (chunkId < 0) {
       return Status::invalidArgument("batch request: bad chunk id");
     }
-    std::int64_t len = parseInt(payload, pos);
-    if (len < 0 || !skipChar(payload, pos, '\n') ||
-        pos + static_cast<std::size_t>(len) > payload.size()) {
-      return Status::invalidArgument(
-          util::format("batch request: bad payload length for chunk %lld",
-                       static_cast<long long>(chunkId)));
-    }
-    BatchChunkRequest chunk;
     chunk.chunkId = static_cast<std::int32_t>(chunkId);
-    chunk.payload = payload.substr(pos, static_cast<std::size_t>(len));
-    pos += static_cast<std::size_t>(len);
+    while (skipChar(payload, pos, ' ')) {
+      std::int64_t sc = parseInt(payload, pos);
+      if (sc < 0) {
+        return Status::invalidArgument(util::format(
+            "batch request: bad subchunk id for chunk %lld",
+            static_cast<long long>(chunkId)));
+      }
+      chunk.subChunkIds.push_back(static_cast<std::int32_t>(sc));
+    }
     if (!skipChar(payload, pos, '\n')) {
-      return Status::invalidArgument("batch request: missing frame separator");
+      return Status::invalidArgument(util::format(
+          "batch request: bad entry for chunk %lld",
+          static_cast<long long>(chunkId)));
     }
     out.chunks.push_back(std::move(chunk));
   }
@@ -99,6 +176,11 @@ Result<BatchRequest> decodeBatchRequest(const std::string& payload) {
     return Status::invalidArgument("batch request: trailing bytes");
   }
   return out;
+}
+
+std::string batchTaskId(const std::string& batchId, std::int32_t chunkId) {
+  return util::format("%.24s%08x", batchId.c_str(),
+                      static_cast<unsigned>(chunkId));
 }
 
 std::string encodeResultFrame(std::int32_t chunkId, const std::string& dump) {

@@ -5,16 +5,21 @@
 /// single "UberJob" request and streams per-chunk results back over one
 /// shared channel. This codec defines both directions of that protocol:
 ///
-/// Request (written once to /batch/<md5-of-request>):
+/// Request (written once to /batch/<md5-of-request>): the query's chunk
+/// template once, then the chunk ids it runs on.
 ///   -- QSERV-BATCH <nChunks> <streamWindow>\n
-///   --#CHUNK <chunkId> <payloadBytes>\n
-///   <payloadBytes bytes: the unchanged per-chunk query payload>\n
-///   ... repeated nChunks times ...
+///   -- QSERV-TRACE: <traceId>\n              (only on traced queries)
+///   -- QSERV-CLASS: <scan|interactive>\n
+///   --#TEMPLATE <aggregate 0|1> <bindings> <sqlBytes>\n
+///   <sqlBytes bytes: the template SELECT, base table names in FROM>\n
+///   --#CHUNK <chunkId>[ <subChunkId>...]\n   ... repeated nChunks times
 ///
-/// Each embedded payload is byte-identical to what per-chunk dispatch would
-/// have written to /query2/<chunkId> (trace header included), so a chunk's
-/// result hash — the MD5 of its payload — is the same in both modes and a
-/// failed batch member can fall back to the per-chunk retry path verbatim.
+/// <bindings> holds one TableBinding character per FROM position (see
+/// query_rewriter.h). The worker parses the template once per batch and
+/// binds each chunk's table names onto a copy, so no per-chunk SQL text is
+/// rendered, shipped, hashed or re-parsed. A batch task is identified by
+/// (batchId, chunkId); a chunk that falls back to per-chunk dispatch gets
+/// the template's rendered text, and the MD5 of that payload, as usual.
 ///
 /// Result frames (each one FileStore entry at /bstream/<batchId>):
 ///   --#FRAME <chunkId> ok <bodyBytes>\n<body>     body = the normal dump,
@@ -31,30 +36,41 @@
 #include <string>
 #include <vector>
 
+#include "qserv/query_rewriter.h"
+#include "qserv/scan_scheduler.h"
 #include "util/status.h"
 
 namespace qserv::core {
 
-/// One chunk's slice of a batch request.
-struct BatchChunkRequest {
+/// One chunk of a batch request.
+struct BatchChunk {
   std::int32_t chunkId = 0;
-  std::string payload;  ///< per-chunk query payload, unchanged
+  std::vector<std::int32_t> subChunkIds;  ///< non-empty for near-neighbor
 };
 
-/// Serialize \p chunks into one batch request payload. \p streamWindow is
-/// the backpressure bound the worker applies to unread result frames
-/// (0 = unbounded).
-std::string encodeBatchRequest(const std::vector<BatchChunkRequest>& chunks,
-                               int streamWindow);
-
-/// Parsed batch request.
+/// A batch request: one query's chunk template and the chunks it runs on.
 struct BatchRequest {
-  std::vector<BatchChunkRequest> chunks;
+  /// Backpressure bound the worker applies to unread result frames
+  /// (0 = unbounded).
   int streamWindow = 0;
+  std::uint64_t traceId = 0;  ///< 0 = untraced
+  QueryClass queryClass = QueryClass::kScan;
+  bool aggregate = false;  ///< results are partial aggregates (-- QSERV-AGG)
+  std::vector<TableBinding> bindings;  ///< one per template FROM position
+  std::string templateSql;
+  std::vector<BatchChunk> chunks;
 };
+
+/// Serialize \p request into one batch request payload.
+std::string encodeBatchRequest(const BatchRequest& request);
 
 /// Decode a batch request; kInvalidArgument on any framing violation.
+/// Storage stays proportional to the payload, whatever counts it claims.
 util::Result<BatchRequest> decodeBatchRequest(const std::string& payload);
+
+/// The 32-character result id of chunk \p chunkId in batch \p batchId (it
+/// names the chunk's result table, the way a payload MD5 does per chunk).
+std::string batchTaskId(const std::string& batchId, std::int32_t chunkId);
 
 /// One chunk's result frame on the batch stream.
 struct BatchResultFrame {

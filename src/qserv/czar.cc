@@ -465,8 +465,10 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
   RewriteResult rewrite;
   {
     util::ScopedSpan span(trace, "czar", "rewrite");
-    QSERV_ASSIGN_OR_RETURN(rewrite,
-                           rewriter.rewrite(analyzed, chunks, mergeTable));
+    // One template for every chunk: per-chunk text is rendered only where
+    // a transport needs it (per-chunk dispatch, batch fallback).
+    QSERV_ASSIGN_OR_RETURN(
+        rewrite, rewriter.rewriteTemplate(analyzed, chunks, mergeTable));
     span.attr("chunkQueries",
               static_cast<std::int64_t>(rewrite.chunkQueries.size()));
     // Scheduler class, shipped to every worker in the -- QSERV-CLASS

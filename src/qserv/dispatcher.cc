@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
 #include <unordered_map>
 
 #include "qserv/batch_codec.h"
@@ -67,18 +68,16 @@ bool isRetryable(const Status& s) {
          s.code() == util::ErrorCode::kDataLoss;
 }
 
-/// The payload a worker receives for \p spec. Header comments carry the
-/// trace id (so the worker can attach its spans to this query) and the
-/// scheduler class. Per-chunk and batched dispatch MUST build payloads
-/// identically: the result hash — md5 of the payload — is how both paths
-/// find the dump, and a batch chunk falling back to the per-chunk path
-/// re-derives the same hash.
+/// The /query2 payload a worker receives for \p spec. Header comments carry
+/// the trace id (so the worker can attach its spans to this query) and the
+/// scheduler class; the result hash — md5 of the payload — is how the
+/// dispatcher finds the dump.
 std::string buildChunkPayload(const ChunkQuerySpec& spec,
                               const util::TracePtr& trace) {
   std::string payload;
   if (trace) payload += util::traceHeaderLine(trace->id());
   payload += classHeaderLine(spec.queryClass);
-  payload += spec.text;
+  payload += chunkQueryText(spec);
   return payload;
 }
 }  // namespace
@@ -396,7 +395,7 @@ std::vector<BatchPlanEntry> Dispatcher::planBatches(
   std::vector<std::int32_t> unplaced;
   for (const auto& spec : specs) {
     auto server = redirector_->locate(xrd::makeQueryPath(spec.chunkId));
-    if (server.isOk()) {
+    if (server.isOk() && spec.chunkTemplate) {
       byWorker[(*server)->id()].push_back(spec.chunkId);
     } else {
       unplaced.push_back(spec.chunkId);
@@ -423,20 +422,24 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
   xrd::XrdClient client(redirector_);
   util::Stopwatch watch;
 
-  struct PendingChunk {
-    const ChunkQuerySpec* spec;
-    std::string hash;
-  };
-  std::vector<BatchChunkRequest> request;
-  request.reserve(chunks.size());
-  std::unordered_map<std::int32_t, PendingChunk> pending;
+  // The template once, then the chunk ids: every chunk of one batch shares
+  // its query's template and class (runBatched groups them that way).
+  const ChunkQuerySpec& first = *chunks.front();
+  BatchRequest request;
+  request.streamWindow = config_.streamWindow;
+  request.traceId = trace ? trace->id() : 0;
+  request.queryClass = first.queryClass;
+  request.aggregate = first.chunkTemplate->aggregate();
+  request.bindings = first.chunkTemplate->bindings();
+  request.templateSql = first.chunkTemplate->sql();
+  request.chunks.reserve(chunks.size());
+  std::unordered_map<std::int32_t, const ChunkQuerySpec*> pending;
   pending.reserve(chunks.size());
   for (const ChunkQuerySpec* spec : chunks) {
-    std::string payload = buildChunkPayload(*spec, trace);
-    pending.emplace(spec->chunkId, PendingChunk{spec, util::Md5::hex(payload)});
-    request.push_back(BatchChunkRequest{spec->chunkId, std::move(payload)});
+    pending.emplace(spec->chunkId, spec);
+    request.chunks.push_back(BatchChunk{spec->chunkId, spec->subChunkIds});
   }
-  std::string requestBytes = encodeBatchRequest(request, config_.streamWindow);
+  std::string requestBytes = encodeBatchRequest(request);
   std::string batchId = util::Md5::hex(requestBytes);
 
   util::ScopedSpan span(trace, "dispatcher",
@@ -448,12 +451,12 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
   // Every pending chunk becomes a retry item carrying \p why and excluding
   // this worker — the shared bail-out of write failures and broken streams.
   auto retryPending = [&](const Status& why) {
-    for (auto& [chunkId, pc] : pending) {
+    for (auto& [chunkId, spec] : pending) {
       redirector_->reportFailure(chunkId, workerId);
       metrics.replicaExclusions.add();
       metrics.batchChunkRetries.add();
       outcome.retries.push_back(
-          RetryItem{pc.spec, {workerId}, /*priorAttempts=*/1, why});
+          RetryItem{spec, {workerId}, /*priorAttempts=*/1, why});
     }
     pending.clear();
   };
@@ -487,13 +490,10 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
   while (!pending.empty()) {
     if (options.cancel.cancelled()) {
       client.cancelBatch(workerId, batchId);
-      for (auto& [chunkId, pc] : pending) {
-        (void)pc;
-        metrics.chunksCancelled.add();
-        ++outcome.cancelled;
-        if (completed != nullptr) {
-          completed->fetch_add(1, std::memory_order_relaxed);
-        }
+      metrics.chunksCancelled.add(pending.size());
+      outcome.cancelled += pending.size();
+      if (completed != nullptr) {
+        completed->fetch_add(pending.size(), std::memory_order_relaxed);
       }
       pending.clear();
       break;
@@ -537,7 +537,7 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
     }
     auto it = pending.find(frame->chunkId);
     if (it == pending.end()) continue;  // duplicate or stale frame
-    PendingChunk pc = std::move(it->second);
+    const ChunkQuerySpec* spec = it->second;
     std::int32_t chunkId = frame->chunkId;
 
     if (!frame->status.isOk()) {
@@ -548,7 +548,7 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
         metrics.replicaExclusions.add();
         metrics.batchChunkRetries.add();
         outcome.retries.push_back(
-            RetryItem{pc.spec, {workerId}, /*priorAttempts=*/1, why});
+            RetryItem{spec, {workerId}, /*priorAttempts=*/1, why});
       } else {
         metrics.chunksFailed.add();
         if (trace) {
@@ -590,7 +590,7 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
           << "chunk " << chunkId << " in batch " << batchId.substr(0, 8)
           << " from " << workerId << " damaged: " << integrity.toString();
       outcome.retries.push_back(
-          RetryItem{pc.spec, {workerId}, /*priorAttempts=*/1, integrity});
+          RetryItem{spec, {workerId}, /*priorAttempts=*/1, integrity});
       pending.erase(it);
       continue;
     }
@@ -599,7 +599,7 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
     ChunkResult out;
     out.chunkId = chunkId;
     out.workerId = workerId;
-    out.hash = std::move(pc.hash);
+    out.hash = batchTaskId(batchId, chunkId);
     if (auto obs = decodeObservables(dump)) out.observables = *obs;
     out.dump = std::move(dump);
     std::int64_t nowUs = util::Trace::nowUs();
@@ -647,14 +647,24 @@ Result<DispatchReport> Dispatcher::runBatched(
   report.mode = DispatchMode::kBatched;
 
   // Plan: one batch per (query, worker) at the redirector's current
-  // placement; chunks without a live replica go straight to the per-chunk
-  // path, which owns the precise error semantics.
-  std::map<std::string, std::vector<const ChunkQuerySpec*>> byWorker;
+  // placement, keyed by template and class too so each batch ships one
+  // template. Chunks without a live replica go straight to the per-chunk
+  // path, which owns the precise error semantics, as do specs without a
+  // template.
+  using BatchKey =
+      std::tuple<std::string, const ChunkTemplate*, QueryClass>;
+  std::map<BatchKey, std::vector<const ChunkQuerySpec*>> byWorker;
   std::vector<RetryItem> spill;
   for (const auto& spec : specs) {
+    if (!spec.chunkTemplate) {
+      spill.push_back(
+          RetryItem{&spec, {}, 0, Status::internal("not attempted")});
+      continue;
+    }
     auto server = redirector_->locate(xrd::makeQueryPath(spec.chunkId));
     if (server.isOk()) {
-      byWorker[(*server)->id()].push_back(&spec);
+      byWorker[{(*server)->id(), spec.chunkTemplate.get(), spec.queryClass}]
+          .push_back(&spec);
     } else {
       spill.push_back(RetryItem{&spec, {}, 0, server.status()});
     }
@@ -703,10 +713,10 @@ Result<DispatchReport> Dispatcher::runBatched(
 
   std::vector<std::future<BatchOutcome>> collectors;
   collectors.reserve(byWorker.size());
-  for (auto& [workerId, chunks] : byWorker) {
+  for (auto& [key, chunks] : byWorker) {
     collectors.push_back(pool_.submit(
-        [this, workerId = workerId, chunks = std::move(chunks), &sink, &trace,
-         &options, completed] {
+        [this, workerId = std::get<0>(key), chunks = std::move(chunks), &sink,
+         &trace, &options, completed] {
           return collectBatch(workerId, chunks, sink, trace, completed,
                               options);
         }));

@@ -49,7 +49,8 @@ struct ChunkResult {
 
 enum class DispatchMode {
   kPerChunk,  ///< paper behaviour: one write+read transaction pair per chunk
-  kBatched,   ///< UberJob-style: one request per (query, worker), results
+  kBatched,   ///< UberJob-style: one request per (query, worker) carrying
+              ///< the chunk template once plus the chunk ids, results
               ///< streamed back incrementally over a shared channel
 };
 

@@ -150,9 +150,118 @@ std::string outName(const SelectItem& item) {
   return item.alias.empty() ? item.expr->toSql() : item.alias;
 }
 
+bool isSubChunkBinding(TableBinding b) {
+  return b == TableBinding::kSubChunk || b == TableBinding::kFullOverlap;
+}
+
 }  // namespace
 
+std::string boundTableName(TableBinding binding, const std::string& base,
+                           std::int32_t chunkId, std::int32_t subChunkId) {
+  switch (binding) {
+    case TableBinding::kKeep: return base;
+    case TableBinding::kChunk: return datagen::chunkTableName(base, chunkId);
+    case TableBinding::kSubChunk:
+      return datagen::subChunkTableName(base, chunkId, subChunkId);
+    case TableBinding::kFullOverlap:
+      return datagen::subChunkTableName(base + "FullOverlap", chunkId,
+                                        subChunkId);
+  }
+  return base;
+}
+
+Result<std::vector<sql::Statement>> bindChunkStatements(
+    const SelectStmt& tmpl, std::span<const TableBinding> bindings,
+    std::int32_t chunkId, std::span<const std::int32_t> subChunkIds) {
+  if (bindings.size() != tmpl.from.size()) {
+    return Status::invalidArgument(util::format(
+        "chunk template: %zu table bindings for %zu FROM tables",
+        bindings.size(), tmpl.from.size()));
+  }
+  auto bind = [&](std::int32_t subChunkId) {
+    SelectStmt stmt = tmpl.clone();
+    for (std::size_t i = 0; i < bindings.size(); ++i) {
+      stmt.from[i].table =
+          boundTableName(bindings[i], tmpl.from[i].table, chunkId, subChunkId);
+    }
+    return sql::Statement(std::move(stmt));
+  };
+  std::vector<sql::Statement> out;
+  if (std::none_of(bindings.begin(), bindings.end(), isSubChunkBinding)) {
+    out.push_back(bind(0));
+    return out;
+  }
+  out.reserve(subChunkIds.size());
+  for (std::int32_t sc : subChunkIds) out.push_back(bind(sc));
+  return out;
+}
+
+ChunkTemplate::ChunkTemplate(const SelectStmt& stmt,
+                             std::vector<TableBinding> bindings, bool aggregate)
+    : pieces_(stmt.toSqlAroundTables()),
+      bindings_(std::move(bindings)),
+      aggregate_(aggregate) {
+  bases_.reserve(stmt.from.size());
+  sql_ = pieces_[0];
+  for (std::size_t i = 0; i < stmt.from.size(); ++i) {
+    bases_.push_back(stmt.from[i].table);
+    sql_ += bases_[i];
+    sql_ += pieces_[i + 1];
+  }
+}
+
+bool ChunkTemplate::bindsSubChunks() const {
+  return std::any_of(bindings_.begin(), bindings_.end(), isSubChunkBinding);
+}
+
+std::string ChunkTemplate::render(
+    std::int32_t chunkId, std::span<const std::int32_t> subChunkIds) const {
+  std::string out;
+  auto appendStatement = [&](std::int32_t subChunkId) {
+    out += pieces_[0];
+    for (std::size_t i = 0; i < bases_.size(); ++i) {
+      out += boundTableName(bindings_[i], bases_[i], chunkId, subChunkId);
+      out += pieces_[i + 1];
+    }
+    out += ";\n";
+  };
+  if (!bindsSubChunks()) {
+    out.reserve(sql_.size() + 32);
+    // Aggregating chunk queries return scale-independent partials; the
+    // worker's cost accounting must not scale their result sizes.
+    if (aggregate_) out += "-- QSERV-AGG\n";
+    appendStatement(0);
+    return out;
+  }
+  out.reserve((sql_.size() + 32) * subChunkIds.size() + 64);
+  out += "-- SUBCHUNKS: ";
+  for (std::size_t i = 0; i < subChunkIds.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += std::to_string(subChunkIds[i]);
+  }
+  out += "\n";
+  if (aggregate_) out += "-- QSERV-AGG\n";
+  for (std::int32_t sc : subChunkIds) appendStatement(sc);
+  return out;
+}
+
+std::string chunkQueryText(const ChunkQuerySpec& spec) {
+  if (!spec.text.empty() || !spec.chunkTemplate) return spec.text;
+  return spec.chunkTemplate->render(spec.chunkId, spec.subChunkIds);
+}
+
 Result<RewriteResult> QueryRewriter::rewrite(
+    const AnalyzedQuery& analyzed, std::span<const std::int32_t> chunks,
+    const std::string& mergeTableName) const {
+  QSERV_ASSIGN_OR_RETURN(RewriteResult out,
+                         rewriteTemplate(analyzed, chunks, mergeTableName));
+  for (ChunkQuerySpec& spec : out.chunkQueries) {
+    spec.text = spec.chunkTemplate->render(spec.chunkId, spec.subChunkIds);
+  }
+  return out;
+}
+
+Result<RewriteResult> QueryRewriter::rewriteTemplate(
     const AnalyzedQuery& analyzed, std::span<const std::int32_t> chunks,
     const std::string& mergeTableName) const {
   RewriteResult out;
@@ -263,60 +372,47 @@ Result<RewriteResult> QueryRewriter::rewrite(
 
   // Give every partitioned table an explicit alias equal to its original
   // binding name, so qualified column references keep resolving after the
-  // table is renamed to its chunk table.
+  // table is renamed to its chunk table. Its FROM entry then holds the
+  // catalog's base name, which each chunk binding extends.
+  std::vector<TableBinding> bindings(chunkTemplate.from.size(),
+                                     TableBinding::kKeep);
   for (std::size_t i = 0; i < chunkTemplate.from.size(); ++i) {
-    if (analyzed.from[i].partitioned != nullptr &&
-        chunkTemplate.from[i].alias.empty()) {
-      chunkTemplate.from[i].alias = chunkTemplate.from[i].table;
+    if (analyzed.from[i].partitioned == nullptr) continue;
+    TableRef& ref = chunkTemplate.from[i];
+    if (ref.alias.empty()) ref.alias = ref.table;
+    if (!analyzed.isNearNeighbor) {
+      ref.table = analyzed.from[i].partitioned->name;
+      bindings[i] = TableBinding::kChunk;
     }
   }
+  if (analyzed.isNearNeighbor) {
+    // The subchunk table Object_CC_SS joins the on-the-fly overlap table
+    // ObjectFullOverlap_CC_SS, both named from the director's base name.
+    const std::string& base = analyzed.from[0].partitioned->name;
+    chunkTemplate.from[0].table = base;
+    chunkTemplate.from[1].table = base;
+    bindings[0] = TableBinding::kSubChunk;
+    bindings[1] = TableBinding::kFullOverlap;
+  }
+  auto tmpl = std::make_shared<const ChunkTemplate>(
+      chunkTemplate, std::move(bindings), analyzed.hasAggregates);
 
   // ------------------------------------------------------------ per chunk
+  out.chunkQueries.reserve(chunks.size());
   for (std::int32_t chunkId : chunks) {
     ChunkQuerySpec spec;
     spec.chunkId = chunkId;
-
     if (analyzed.isNearNeighbor) {
-      const PartitionedTable& table = *analyzed.from[0].partitioned;
       // Subchunks to visit: all of the chunk's, pruned by the area
       // restriction when present (only o1's subchunk needs to intersect).
-      std::vector<std::int32_t> subChunks =
+      spec.subChunkIds =
           analyzed.areaRestriction
               ? chunker_.subChunksIntersecting(chunkId,
                                                *analyzed.areaRestriction)
               : chunker_.subChunksOf(chunkId);
-      if (subChunks.empty()) continue;
-      spec.subChunkIds = subChunks;
-
-      std::string text = "-- SUBCHUNKS: ";
-      std::vector<std::string> ids;
-      ids.reserve(subChunks.size());
-      for (std::int32_t sc : subChunks) ids.push_back(std::to_string(sc));
-      text += util::join(ids, ", ") + "\n";
-
-      // Aggregating chunk queries return scale-independent partials; the
-      // worker's cost accounting must not scale their result sizes.
-      if (analyzed.hasAggregates) text += "-- QSERV-AGG\n";
-      for (std::int32_t sc : subChunks) {
-        SelectStmt stmt = chunkTemplate.clone();
-        stmt.from[0].table =
-            datagen::subChunkTableName(table.name, chunkId, sc);
-        stmt.from[1].table = datagen::subChunkTableName(
-            table.name + "FullOverlap", chunkId, sc);
-        text += stmt.toSql() + ";\n";
-      }
-      spec.text = std::move(text);
-    } else {
-      SelectStmt stmt = chunkTemplate.clone();
-      for (std::size_t i = 0; i < stmt.from.size(); ++i) {
-        if (analyzed.from[i].partitioned != nullptr) {
-          stmt.from[i].table = datagen::chunkTableName(
-              analyzed.from[i].partitioned->name, chunkId);
-        }
-      }
-      spec.text = (analyzed.hasAggregates ? "-- QSERV-AGG\n" : "") +
-                  stmt.toSql() + ";\n";
+      if (spec.subChunkIds.empty()) continue;
     }
+    spec.chunkTemplate = tmpl;
     out.chunkQueries.push_back(std::move(spec));
   }
 

@@ -18,8 +18,14 @@
 ///    the `-- SUBCHUNKS:` header (§5.4 chunk query representation).
 ///  - ORDER BY / LIMIT move to the merge query (chunks also apply top-k
 ///    when a LIMIT is present).
+///
+/// The chunk-side SELECT is built once per user query as a ChunkTemplate:
+/// the statement plus a binding rule per FROM position. Per-chunk text is
+/// spliced from the template's pre-rendered pieces only when a transport
+/// needs it; batched dispatch ships the template once per worker instead.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,15 +34,77 @@
 
 namespace qserv::core {
 
+/// How one FROM position of a chunk template binds to a physical table.
+/// The character is the position's wire form in a batch request.
+enum class TableBinding : char {
+  kKeep = '-',         ///< unpartitioned table: the name is kept
+  kChunk = 'c',        ///< <base>_<chunkId>
+  kSubChunk = 's',     ///< <base>_<chunkId>_<subChunkId>
+  kFullOverlap = 'o',  ///< <base>FullOverlap_<chunkId>_<subChunkId>
+};
+
+/// The table a position bound by \p binding reads for one chunk (and
+/// subchunk, for the subchunk bindings), named by datagen's *TableName.
+std::string boundTableName(TableBinding binding, const std::string& base,
+                           std::int32_t chunkId, std::int32_t subChunkId);
+
+/// Bind a parsed template (FROM positions holding the base table names) to
+/// one chunk: one SELECT, or one per subchunk when a position binds subchunk
+/// tables — the statements parseScript() returns for the rendered text.
+/// kInvalidArgument when \p bindings does not match the FROM list.
+util::Result<std::vector<sql::Statement>> bindChunkStatements(
+    const sql::SelectStmt& tmpl, std::span<const TableBinding> bindings,
+    std::int32_t chunkId, std::span<const std::int32_t> subChunkIds);
+
+/// One user query's chunk-side SELECT with base table names in its FROM
+/// list, one binding per position, and the `-- QSERV-AGG` flag. Renders
+/// each chunk's payload text by splicing table names into text rendered
+/// once, byte-identical to rendering a bound copy of the statement.
+class ChunkTemplate {
+ public:
+  /// \p bindings holds one entry per FROM position of \p stmt.
+  ChunkTemplate(const sql::SelectStmt& stmt, std::vector<TableBinding> bindings,
+                bool aggregate);
+
+  /// The template statement as SQL (base table names in FROM).
+  const std::string& sql() const { return sql_; }
+  const std::vector<TableBinding>& bindings() const { return bindings_; }
+  /// Aggregating chunk queries return scale-independent partials.
+  bool aggregate() const { return aggregate_; }
+  /// Near-neighbor templates run one statement per subchunk.
+  bool bindsSubChunks() const;
+
+  /// The per-chunk payload text written to /query2/<chunkId>: header lines
+  /// (`-- SUBCHUNKS:`, `-- QSERV-AGG`) then one statement per subchunk, or
+  /// one statement.
+  std::string render(std::int32_t chunkId,
+                     std::span<const std::int32_t> subChunkIds) const;
+
+ private:
+  std::string sql_;
+  std::vector<std::string> pieces_;  ///< sql_ cut at the FROM table names
+  std::vector<std::string> bases_;
+  std::vector<TableBinding> bindings_;
+  bool aggregate_ = false;
+};
+
 /// One dispatchable chunk query.
 struct ChunkQuerySpec {
   std::int32_t chunkId = 0;
   std::vector<std::int32_t> subChunkIds;  ///< non-empty for near-neighbor
-  std::string text;                       ///< payload written to /query2/CC
+  /// Payload written to /query2/CC; empty when rendered on demand from
+  /// chunkTemplate.
+  std::string text;
   /// Scheduler class the dispatcher ships in the `-- QSERV-CLASS` header
   /// (set by the czar from deriveQueryClass; scan is the safe default).
   QueryClass queryClass = QueryClass::kScan;
+  /// The query's shared template; batched dispatch ships it once per worker.
+  /// Null for hand-built specs, which always dispatch per chunk.
+  std::shared_ptr<const ChunkTemplate> chunkTemplate = nullptr;
 };
+
+/// \p spec's payload text: its text, or else the template's rendering.
+std::string chunkQueryText(const ChunkQuerySpec& spec);
 
 struct MergePlan {
   bool hasAggregation = false;
@@ -55,7 +123,13 @@ class QueryRewriter {
       : config_(config), chunker_(chunker) {}
 
   /// Rewrite \p analyzed for execution over \p chunks, merging into
-  /// \p mergeTableName on the frontend.
+  /// \p mergeTableName on the frontend. Every spec shares one template and
+  /// carries no text.
+  util::Result<RewriteResult> rewriteTemplate(
+      const AnalyzedQuery& analyzed, std::span<const std::int32_t> chunks,
+      const std::string& mergeTableName) const;
+
+  /// rewriteTemplate(), with every spec's text rendered.
   util::Result<RewriteResult> rewrite(const AnalyzedQuery& analyzed,
                                       std::span<const std::int32_t> chunks,
                                       const std::string& mergeTableName) const;

@@ -68,8 +68,14 @@ std::optional<QueryClass> parseClassHeader(const std::string& payload);
 /// One queued chunk query, as the worker sees it.
 struct ScanTask {
   std::int32_t chunkId = 0;
-  std::string payload;
-  std::string hash;
+  std::string payload;  ///< /query2 chunk query text; empty for batch tasks
+  /// Names the result: the payload's MD5 (its /result/<md5> path), or
+  /// batchTaskId(batchId, chunkId) for a batch task.
+  std::string resultId;
+  /// Subchunks whose tables the task builds (-- SUBCHUNKS, or the batch's
+  /// chunk entry).
+  std::vector<std::int32_t> subChunkIds;
+  bool aggregate = false;  ///< -- QSERV-AGG: the result is a partial aggregate
   std::uint64_t traceId = 0;    ///< from the -- QSERV-TRACE header; 0 = none
   std::uint64_t queryId = 0;    ///< rate-tier key (the trace id today)
   std::int64_t enqueuedUs = 0;  ///< trace-clock time of arrival

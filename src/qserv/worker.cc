@@ -8,6 +8,7 @@
 #include "qserv/dump_integrity.h"
 #include "qserv/observables_codec.h"
 #include "sql/dump.h"
+#include "sql/parser.h"
 #include "sql/rowcodec.h"
 #include "util/logging.h"
 #include "util/md5.h"
@@ -184,10 +185,13 @@ Status Worker::writeFile(const std::string& path, std::string payload) {
   }
   ScanTask task = makeTask(*chunkId, std::move(payload), util::Trace::nowUs());
   auto& metrics = WorkerMetrics::instance();
+  // Count the task before a slot can claim it: its share is released when
+  // its result is published, which may happen before enqueue() returns.
+  metrics.queueDepth.add(1);
   if (!sched_.enqueue(std::move(task))) {
+    metrics.queueDepth.add(-1);
     return Status::unavailable("worker " + id_ + " is shutting down");
   }
-  metrics.queueDepth.add(1);
   queueDepthGauge_.set(static_cast<std::int64_t>(sched_.depth()));
   metrics.tasksEnqueued.add();
   return Status::ok();
@@ -197,19 +201,25 @@ ScanTask Worker::makeTask(std::int32_t chunkId, std::string payload,
                           std::int64_t enqueuedUs) const {
   ScanTask task;
   task.chunkId = chunkId;
-  task.hash = util::Md5::hex(payload);
+  task.resultId = util::Md5::hex(payload);
   if (auto traceId = util::parseTraceHeader(payload)) task.traceId = *traceId;
   task.queryId = task.traceId;
   task.enqueuedUs = enqueuedUs;
   // Header-less payloads (raw test traffic) default to scan class — the
   // conservative choice, and the one that preserves same-chunk grouping.
   task.cls = parseClassHeader(payload).value_or(QueryClass::kScan);
-  if (config_.scheduler == SchedulerMode::kSharedScan &&
-      task.cls == QueryClass::kScan) {
-    task.memoryBytes = chunkMemoryBytes(chunkId);
-  }
+  task.memoryBytes = memoryChargeFor(task.cls, chunkId);
+  task.subChunkIds = parseSubchunksHeader(payload);
+  task.aggregate = isAggregateQuery(payload);
   task.payload = std::move(payload);
   return task;
+}
+
+double Worker::memoryChargeFor(QueryClass cls, std::int32_t chunkId) const {
+  return config_.scheduler == SchedulerMode::kSharedScan &&
+                 cls == QueryClass::kScan
+             ? chunkMemoryBytes(chunkId)
+             : 0.0;
 }
 
 double Worker::chunkMemoryBytes(std::int32_t chunkId) const {
@@ -230,7 +240,7 @@ double Worker::chunkMemoryBytes(std::int32_t chunkId) const {
 Status Worker::enqueueBatch(const std::string& batchId, std::string payload) {
   auto request = decodeBatchRequest(payload);
   if (!request.isOk()) return request.status();
-  for (const BatchChunkRequest& chunk : request->chunks) {
+  for (const BatchChunk& chunk : request->chunks) {
     if (!exportsChunk(chunk.chunkId)) {
       // Reject the whole batch: the master's placement was stale, and the
       // per-chunk fallback path re-locates each chunk individually.
@@ -239,17 +249,42 @@ Status Worker::enqueueBatch(const std::string& batchId, std::string payload) {
           chunk.chunkId, batchId.c_str()));
     }
   }
+  // Parse the template once for the whole batch. A template that does not
+  // parse, or whose FROM list does not match its bindings, rejects the
+  // batch; its chunks then fall back to per-chunk dispatch.
+  auto parsed = sql::parseSelect(request->templateSql);
+  if (!parsed.isOk()) {
+    return Status::invalidArgument(util::format(
+        "batch %s: bad chunk template: %s", batchId.c_str(),
+        parsed.status().message().c_str()));
+  }
+  if (parsed->from.size() != request->bindings.size()) {
+    return Status::invalidArgument(util::format(
+        "batch %s: %zu table bindings for %zu FROM tables", batchId.c_str(),
+        request->bindings.size(), parsed->from.size()));
+  }
   auto stream = std::make_shared<BatchStream>();
   stream->id = batchId;
   stream->streamPath = xrd::makeBatchStreamPath(batchId);
   stream->window = request->streamWindow;
+  stream->chunkTemplate = std::move(parsed).value();
+  stream->bindings = std::move(request->bindings);
   stream->remaining.store(static_cast<int>(request->chunks.size()),
                           std::memory_order_release);
   std::int64_t nowUs = util::Trace::nowUs();
   std::vector<ScanTask> tasks;
   tasks.reserve(request->chunks.size());
-  for (BatchChunkRequest& chunk : request->chunks) {
-    ScanTask task = makeTask(chunk.chunkId, std::move(chunk.payload), nowUs);
+  for (BatchChunk& chunk : request->chunks) {
+    ScanTask task;
+    task.chunkId = chunk.chunkId;
+    task.resultId = batchTaskId(batchId, chunk.chunkId);
+    task.traceId = request->traceId;
+    task.queryId = task.traceId;
+    task.enqueuedUs = nowUs;
+    task.cls = request->queryClass;
+    task.memoryBytes = memoryChargeFor(task.cls, chunk.chunkId);
+    task.subChunkIds = std::move(chunk.subChunkIds);
+    task.aggregate = request->aggregate;
     task.batch = stream;
     tasks.push_back(std::move(task));
   }
@@ -259,12 +294,13 @@ Status Worker::enqueueBatch(const std::string& batchId, std::string payload) {
     std::lock_guard lock(batchMutex_);
     batches_[batchId] = stream;
   }
+  metrics.queueDepth.add(static_cast<std::int64_t>(count));
   if (!sched_.enqueueAll(std::move(tasks))) {
+    metrics.queueDepth.add(-static_cast<std::int64_t>(count));
     std::lock_guard lock(batchMutex_);
     batches_.erase(batchId);
     return Status::unavailable("worker " + id_ + " is shutting down");
   }
-  metrics.queueDepth.add(static_cast<std::int64_t>(count));
   queueDepthGauge_.set(static_cast<std::int64_t>(sched_.depth()));
   metrics.tasksEnqueued.add(count);
   metrics.batchesReceived.add();
@@ -439,22 +475,12 @@ Status Worker::dropChunk(std::int32_t chunkId) {
   return Status::ok();
 }
 
-std::optional<simio::WorkObservables> Worker::observablesFor(
-    const std::string& md5Hex) const {
-  std::lock_guard lock(obsMutex_);
-  auto it = observables_.find(md5Hex);
-  if (it == observables_.end()) return std::nullopt;
-  return it->second;
-}
-
 std::size_t Worker::queuedTasks() const { return sched_.depth(); }
 
 void Worker::executorLoop() {
-  auto& metrics = WorkerMetrics::instance();
   while (true) {
     ScanScheduler::Claim claim = sched_.claim();
     if (claim.tasks.empty()) return;  // shutdown and drained
-    metrics.busySlots.add(1);
     double maxWaitSec = 0.0;
     // In a shared-scan group only the first task that actually reads chunk
     // bytes pays the read; the others ride along on the same in-memory pass
@@ -482,7 +508,6 @@ void Worker::executorLoop() {
     // to the service time it then received.
     double serviceSec = serviceWatch.elapsedSeconds();
     if (serviceSec > 0.0) convoyRatioHist_.observe(maxWaitSec / serviceSec);
-    metrics.busySlots.add(-1);
   }
 }
 
@@ -509,17 +534,37 @@ void Worker::runClaimedTask(const ScanTask& task, std::int64_t claimedUs,
     trace->addSpan(std::move(wait));
   }
   util::Stopwatch taskWatch;
-  bool executed = executeTask(task, /*chargeScanIo=*/!ioCharged);
-  if (executed && !ioCharged) {
-    // The charge sticks only when the task actually read chunk bytes: a
-    // zone-map-pruned task touches no table data, so the pass's physical
-    // read is still unpaid and falls to the next task that really scans.
-    auto obs = observablesFor(task.hash);
-    if (obs && obs->bytesScanned > 0) ioCharged = true;
-  }
-  sched_.finishTask(task, taskWatch.elapsedSeconds(), executed);
+  metrics.busySlots.add(1);
+  TaskOutput out = executeTask(task, /*chargeScanIo=*/!ioCharged);
+  const bool executed = !out.skipped && out.status.isOk();
+  // The charge sticks only when the task actually read chunk bytes: a
+  // zone-map-pruned task touches no table data, so the pass's physical read
+  // is still unpaid and falls to the next task that really scans.
+  if (executed && out.scannedBytes) ioCharged = true;
+  // Release this task's gauge shares before the result becomes readable.
+  metrics.busySlots.add(-1);
   metrics.queueDepth.add(-1);
+  publishTask(task, std::move(out));
+  sched_.finishTask(task, taskWatch.elapsedSeconds(), executed);
   queueDepthGauge_.set(static_cast<std::int64_t>(sched_.depth()));
+}
+
+void Worker::publishTask(const ScanTask& task, TaskOutput out) {
+  if (task.batch) {
+    if (!out.skipped) {
+      publishBatchFrame(task, out.status.isOk()
+                                  ? encodeResultFrame(task.chunkId, out.dump)
+                                  : encodeErrorFrame(task.chunkId, out.status));
+    }
+    finishBatchChunk(task.batch);
+    return;
+  }
+  const std::string resultPath = xrd::makeResultPath(task.resultId);
+  if (out.status.isOk()) {
+    results_.publish(resultPath, std::move(out.dump));
+  } else {
+    results_.publishError(resultPath, out.status);
+  }
 }
 
 std::vector<std::int32_t> Worker::parseSubchunksHeader(
@@ -674,21 +719,38 @@ void Worker::releaseSubchunks(std::int32_t chunkId,
   }
 }
 
-bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
+Worker::TaskOutput Worker::executeTask(const ScanTask& task,
+                                       bool chargeScanIo) {
   auto& metrics = WorkerMetrics::instance();
+  TaskOutput out;
   if (task.batch && task.batch->abandoned.load(std::memory_order_acquire)) {
     // The master abandoned the batch; don't waste the slot executing.
     metrics.batchChunksSkipped.add();
-    finishBatchChunk(task.batch);
-    return false;
+    out.skipped = true;
+    return out;
   }
   util::TracePtr trace = util::TraceRegistry::instance().find(task.traceId);
   util::ScopedSpan execSpan(trace, "worker",
                             util::format("exec %d", task.chunkId));
   execSpan.attr("worker", id_);
   util::Stopwatch execWatch;
-  std::string resultPath = xrd::makeResultPath(task.hash);
-  std::vector<std::int32_t> subChunks = parseSubchunksHeader(task.payload);
+  const std::vector<std::int32_t>& subChunks = task.subChunkIds;
+  auto fail = [&](Status status) {
+    QLOG(kWarn, "worker") << id_ << " chunk " << task.chunkId
+                          << " failed: " << status.toString();
+    metrics.taskFailures.add();
+    out.status = std::move(status);
+    return std::move(out);
+  };
+
+  // A batch task binds its chunk onto the batch's parsed template; a
+  // /query2 task parses its payload. Both run the same statements.
+  auto stmts = task.batch
+                   ? bindChunkStatements(task.batch->chunkTemplate,
+                                         task.batch->bindings, task.chunkId,
+                                         subChunks)
+                   : sql::parseScript(task.payload);
+  if (!stmts.isOk()) return fail(stmts.status());
 
   util::Result<sql::ExecStats> buildStats = sql::ExecStats{};
   {
@@ -703,20 +765,10 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
                      static_cast<std::int64_t>(subChunks.size()));
     }
   }
-  if (!buildStats.isOk()) {
-    metrics.taskFailures.add();
-    if (task.batch) {
-      publishBatchFrame(task,
-                        encodeErrorFrame(task.chunkId, buildStats.status()));
-      finishBatchChunk(task.batch);
-    } else {
-      results_.publishError(resultPath, buildStats.status());
-    }
-    return false;
-  }
+  if (!buildStats.isOk()) return fail(buildStats.status());
 
   sql::ExecStats stats;
-  auto result = db_->executeScript(task.payload, &stats);
+  auto result = db_->executeStatements(*stmts, &stats);
   {
     util::Stopwatch dropWatch;
     releaseSubchunks(task.chunkId, subChunks);
@@ -724,23 +776,12 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
       metrics.subchunkDropSeconds.observe(dropWatch.elapsedSeconds());
     }
   }
-  if (!result.isOk()) {
-    QLOG(kWarn, "worker") << id_ << " chunk " << task.chunkId
-                          << " failed: " << result.status().toString();
-    metrics.taskFailures.add();
-    if (task.batch) {
-      publishBatchFrame(task, encodeErrorFrame(task.chunkId, result.status()));
-      finishBatchChunk(task.batch);
-    } else {
-      results_.publishError(resultPath, result.status());
-    }
-    return false;
-  }
+  if (!result.isOk()) return fail(result.status());
 
   std::string dump =
       config_.transfer == TransferFormat::kBinary
-          ? sql::encodeTableBinary(**result, "r_" + task.hash)
-          : sql::dumpTable(**result, "r_" + task.hash);
+          ? sql::encodeTableBinary(**result, "r_" + task.resultId)
+          : sql::dumpTable(**result, "r_" + task.resultId);
 
   // Work observables at paper scale (see WorkerConfig::rowScale).
   simio::WorkObservables obs;
@@ -766,7 +807,7 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
   // Row-returning queries produce density-proportional results (scaled to
   // paper size); aggregate partials are scale-independent. Only the INSERT
   // payload scales — the dump envelope (header, DROP, CREATE) is fixed.
-  const double resultScale = isAggregateQuery(task.payload) ? 1.0 : scale;
+  const double resultScale = task.aggregate ? 1.0 : scale;
   obs.resultRows = static_cast<std::uint64_t>(
       static_cast<double>((*result)->numRows()) * resultScale);
   std::size_t envelope;
@@ -784,10 +825,6 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
   // Integrity envelope: MD5 of everything above, verified by the dispatcher
   // on read so corruption in transit is retried, not merged.
   appendDumpChecksum(dump);
-  {
-    std::lock_guard lock(obsMutex_);
-    observables_[task.hash] = obs;
-  }
   tasksExecuted_.fetch_add(1, std::memory_order_relaxed);
   metrics.tasksExecuted.add();
   metrics.executeSeconds.observe(execWatch.elapsedSeconds());
@@ -829,18 +866,13 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
   execSpan.attr("resultRows",
                 static_cast<std::int64_t>((*result)->numRows()))
       .attr("dumpBytes", static_cast<std::int64_t>(dump.size()));
-  // Record the span BEFORE publishing: publish() unblocks the dispatcher's
-  // result read, and the czar may snapshot the trace into a QueryProfile
-  // right after — an exec span recorded by the RAII destructor (after
-  // publish) could miss that snapshot.
+  // The span ends here, before the caller publishes: publishing unblocks
+  // the dispatcher's result read, and the czar may snapshot the trace into
+  // a QueryProfile right after.
   execSpan.end();
-  if (task.batch) {
-    publishBatchFrame(task, encodeResultFrame(task.chunkId, dump));
-    finishBatchChunk(task.batch);
-  } else {
-    results_.publish(resultPath, std::move(dump));
-  }
-  return true;
+  out.scannedBytes = obs.bytesScanned > 0;
+  out.dump = std::move(dump);
+  return out;
 }
 
 }  // namespace qserv::core

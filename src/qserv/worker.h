@@ -2,11 +2,13 @@
 /// \brief A Qserv worker node (paper §5.1.2, §5.4).
 ///
 /// A worker is an Xrootd data server with Qserv's ofs plugin: chunk queries
-/// arrive as writes to /query2/<CC>, execute on the worker's local SQL
+/// arrive as writes to /query2/<CC> (or, batched, as one query template plus
+/// chunk ids written to /batch/<id>), execute on the worker's local SQL
 /// database against its chunk tables, and results are published as dumps at
-/// /result/<md5 of the chunk query>. A fixed number of executor slots (the
-/// paper's clusters ran 4) drain a ScanScheduler: in kFifo mode that is the
-/// paper's plain queue ("do not implement any concept of query cost", §6.4);
+/// /result/<md5 of the chunk query> (or as frames on /bstream/<id>). A fixed
+/// number of executor slots (the paper's clusters ran 4) drain a
+/// ScanScheduler: in kFifo mode that is the paper's plain queue ("do not
+/// implement any concept of query cost", §6.4);
 /// in kSharedScan mode (§4.3) interactive tasks ride a priority lane ahead
 /// of scans, same-chunk scans share one physical pass (including arrivals
 /// that join a pass already in flight), and scan claims reserve chunk-table
@@ -14,10 +16,9 @@
 ///
 /// Subchunk tables (Object_CC_SS) and their overlap companions
 /// (ObjectFullOverlap_CC_SS) are built on the fly when a chunk query's
-/// `-- SUBCHUNKS:` header demands them, refcounted across concurrent tasks,
-/// and dropped when the last user finishes (or kept, with the cache option —
-/// the paper notes caching is possible but not implemented; ours defaults
-/// off to match).
+/// `-- SUBCHUNKS:` header (or batch chunk entry) demands them, refcounted
+/// across concurrent tasks, and dropped when the last user finishes (the
+/// paper notes caching is possible but not implemented).
 #pragma once
 
 #include <atomic>
@@ -29,8 +30,8 @@
 #include <vector>
 
 #include "qserv/catalog_config.h"
+#include "qserv/query_rewriter.h"
 #include "qserv/scan_scheduler.h"
-#include "simio/cost_model.h"
 #include "sql/database.h"
 #include "util/metrics.h"
 #include "xrd/file_store.h"
@@ -47,14 +48,16 @@ enum class TransferFormat {
   kBinary,
 };
 
-/// Shared state of one batched dispatch (/batch/<id>): its chunk tasks
-/// stream result frames over one /bstream/<id> path, bounded by a window
-/// of unread frames, until the master abandons the batch or the last
-/// chunk finishes.
+/// Shared state of one batched dispatch (/batch/<id>): its chunk tasks bind
+/// the batch's once-parsed template to their chunk and stream result frames
+/// over one /bstream/<id> path, bounded by a window of unread frames, until
+/// the master abandons the batch or the last chunk finishes.
 struct BatchStream {
   std::string id;          ///< batchId (md5 of the request payload)
   std::string streamPath;  ///< /bstream/<batchId>
   int window = 0;          ///< max unread frames (0 = unbounded)
+  sql::SelectStmt chunkTemplate;       ///< parsed once, read-only after
+  std::vector<TableBinding> bindings;  ///< one per template FROM position
   std::atomic<bool> abandoned{false};
   std::atomic<int> remaining{0};  ///< chunks not yet finished/skipped
 };
@@ -111,11 +114,6 @@ class Worker : public xrd::OfsPlugin {
   /// Does this worker currently export \p chunkId?
   bool exportsChunk(std::int32_t chunkId) const;
 
-  /// Work observables recorded for a finished chunk query (by result hash),
-  /// at paper scale. Used by benches feeding the queue simulation.
-  std::optional<simio::WorkObservables> observablesFor(
-      const std::string& md5Hex) const;
-
   /// Queued plus claimed-but-unfinished tasks. Counting in-flight work
   /// matters: queue length alone drops to zero the moment a slot claims a
   /// large scan group, hiding the worker's load from the repair control
@@ -133,17 +131,29 @@ class Worker : public xrd::OfsPlugin {
   void shutdown();
 
  private:
+  /// What executing one task produced, not yet published.
+  struct TaskOutput {
+    bool skipped = false;  ///< abandoned batch: nothing to publish
+    util::Status status = util::Status::ok();  ///< failure to publish
+    std::string dump;  ///< ok: the result with observables and MD5 trailer
+    bool scannedBytes = false;  ///< the task paid a chunk read
+  };
+
   void executorLoop();
-  /// Run one claimed task: queue-wait accounting, execution, scheduler
-  /// finish bookkeeping. Sets \p ioCharged once a task actually pays the
-  /// chunk read (scanned bytes > 0), so a group leader skipped as abandoned
-  /// or zone-pruned never eats the charge (the bytesScanned-undercount bug).
+  /// Run one claimed task: queue-wait accounting, execution, publication,
+  /// scheduler finish bookkeeping. Sets \p ioCharged once a task actually
+  /// pays the chunk read (scanned bytes > 0), so a group leader skipped as
+  /// abandoned or zone-pruned never eats the charge (the
+  /// bytesScanned-undercount bug). The task's queue-depth and busy-slot
+  /// gauge shares are released before its result is published, so a czar
+  /// that returns on reading it sees an idle worker.
   void runClaimedTask(const ScanTask& task, std::int64_t claimedUs,
                       bool& ioCharged, double& maxWaitSec);
-  /// Execute a chunk query end to end. Returns true only when the task ran
-  /// and published a successful result (its observables were recorded) —
-  /// false for abandoned-batch skips and failures.
-  bool executeTask(const ScanTask& task, bool chargeScanIo);
+  /// Execute a chunk query: bind or parse its statements, build subchunks,
+  /// run, encode the result with its observables and integrity trailer.
+  TaskOutput executeTask(const ScanTask& task, bool chargeScanIo);
+  /// Publish \p out as the task's result or batch frame.
+  void publishTask(const ScanTask& task, TaskOutput out);
 
   /// Paper-scale bytes chunk \p chunkId's locally held tables occupy — the
   /// scan scheduler's memory-budget charge for one chunk pass.
@@ -184,11 +194,13 @@ class Worker : public xrd::OfsPlugin {
   /// result is a scale-independent partial aggregate.
   static bool isAggregateQuery(const std::string& payload);
 
-  /// Build a ScanTask from an arriving chunk-query payload: hash, trace id,
+  /// Build a ScanTask from an arriving /query2 payload: hash, trace id,
   /// query class (`-- QSERV-CLASS` header; header-less payloads default to
-  /// scan class), and the scan memory charge.
+  /// scan class), subchunks, aggregate flag and the scan memory charge.
   ScanTask makeTask(std::int32_t chunkId, std::string payload,
                     std::int64_t enqueuedUs) const;
+  /// The shared-scan memory charge of a task of class \p cls on \p chunkId.
+  double memoryChargeFor(QueryClass cls, std::int32_t chunkId) const;
 
   /// Build (or reuse) the subchunk + overlap tables needed by \p task;
   /// returns build-side execution stats.
@@ -231,9 +243,6 @@ class Worker : public xrd::OfsPlugin {
 
   mutable std::mutex batchMutex_;
   std::map<std::string, std::shared_ptr<BatchStream>> batches_;
-
-  mutable std::mutex obsMutex_;
-  std::map<std::string, simio::WorkObservables> observables_;
 
   // Subchunk refcounting: key = "Object_CC_SS".
   std::mutex subchunkMutex_;

@@ -95,14 +95,6 @@ std::string SelectItem::toSql() const {
   return expr->toSql() + " AS " + quoteIdentIfNeeded(alias);
 }
 
-std::string TableRef::toSql() const {
-  std::string out;
-  if (!database.empty()) out += database + ".";
-  out += table;
-  if (!alias.empty()) out += " AS " + alias;
-  return out;
-}
-
 SelectStmt SelectStmt::clone() const {
   SelectStmt out;
   out.distinct = distinct;
@@ -120,16 +112,29 @@ SelectStmt SelectStmt::clone() const {
 }
 
 std::string SelectStmt::toSql() const {
+  std::vector<std::string> pieces = toSqlAroundTables();
+  std::string out = std::move(pieces[0]);
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    out += from[i].table;
+    out += pieces[i + 1];
+  }
+  return out;
+}
+
+std::vector<std::string> SelectStmt::toSqlAroundTables() const {
+  std::vector<std::string> pieces;
+  pieces.reserve(from.size() + 1);
   std::vector<std::string> itemSql;
   itemSql.reserve(items.size());
   for (const auto& i : items) itemSql.push_back(i.toSql());
   std::string out =
       (distinct ? "SELECT DISTINCT " : "SELECT ") + util::join(itemSql, ", ");
-  if (!from.empty()) {
-    std::vector<std::string> fromSql;
-    fromSql.reserve(from.size());
-    for (const auto& t : from) fromSql.push_back(t.toSql());
-    out += " FROM " + util::join(fromSql, ", ");
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    out += i == 0 ? " FROM " : ", ";
+    if (!from[i].database.empty()) out += from[i].database + ".";
+    pieces.push_back(std::move(out));
+    out.clear();
+    if (!from[i].alias.empty()) out += " AS " + from[i].alias;
   }
   if (where) out += " WHERE " + where->toSql();
   if (!groupBy.empty()) {
@@ -148,7 +153,8 @@ std::string SelectStmt::toSql() const {
     out += " ORDER BY " + util::join(o, ", ");
   }
   if (limit) out += " LIMIT " + std::to_string(*limit);
-  return out;
+  pieces.push_back(std::move(out));
+  return pieces;
 }
 
 std::string CreateTableStmt::toSql() const {

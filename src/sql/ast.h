@@ -228,7 +228,6 @@ struct TableRef {
 
   /// Alias if present, else table name — the name columns bind against.
   const std::string& bindingName() const { return alias.empty() ? table : alias; }
-  std::string toSql() const;
 };
 
 struct OrderByItem {
@@ -250,6 +249,11 @@ struct SelectStmt {
 
   SelectStmt clone() const;
   std::string toSql() const;
+  /// toSql() cut at each FROM table name: the result has from.size() + 1
+  /// pieces, and toSql() == pieces[0] + from[0].table + pieces[1] + ... +
+  /// from[n-1].table + pieces[n]. A chunk query template renders once and
+  /// splices per-chunk table names into these pieces.
+  std::vector<std::string> toSqlAroundTables() const;
 };
 
 struct CreateTableStmt {

@@ -142,6 +142,11 @@ util::Result<TablePtr> Database::execute(std::string_view sql,
 util::Result<TablePtr> Database::executeScript(std::string_view sql,
                                                ExecStats* stats) {
   QSERV_ASSIGN_OR_RETURN(auto stmts, parseScript(sql));
+  return executeStatements(stmts, stats);
+}
+
+util::Result<TablePtr> Database::executeStatements(
+    std::span<const Statement> stmts, ExecStats* stats) {
   ExecStats local;
   TablePtr combined;
   for (const Statement& stmt : stmts) {

@@ -13,10 +13,12 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "sql/ast.h"
 #include "sql/functions.h"
 #include "sql/index.h"
 #include "sql/table.h"
@@ -111,6 +113,12 @@ class Database {
   /// SELECT per subchunk and unions the outputs, paper §5.4).
   util::Result<TablePtr> executeScript(std::string_view sql,
                                        ExecStats* stats = nullptr);
+
+  /// Execute already-parsed statements with executeScript's union rule.
+  /// A worker runs a batch's chunk statements, bound from one parsed
+  /// template, through here without re-parsing any SQL text.
+  util::Result<TablePtr> executeStatements(std::span<const Statement> stmts,
+                                           ExecStats* stats = nullptr);
 
  private:
   friend class Executor;

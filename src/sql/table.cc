@@ -1,5 +1,6 @@
 #include "sql/table.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <iterator>
@@ -84,12 +85,25 @@ void Table::Column::foldZone(std::size_t from) {
   }
 }
 
+namespace {
+/// Make room for \p n more elements. An empty vector reserves exactly (a
+/// bulk load grows no slack); a non-empty one keeps std::vector's geometric
+/// growth, so a run of small appends costs amortized linear time instead of
+/// one reallocation and full copy per append.
+template <typename T>
+void growFor(std::vector<T>& v, std::size_t n) {
+  const std::size_t need = v.size() + n;
+  if (need <= v.capacity()) return;
+  v.reserve(v.empty() ? need : std::max(need, 2 * v.capacity()));
+}
+}  // namespace
+
 void Table::Column::reserveMore(std::size_t n) {
-  nulls.reserve(nulls.size() + n);
+  growFor(nulls, n);
   switch (type) {
-    case ColumnType::kInt: ints.reserve(ints.size() + n); break;
-    case ColumnType::kDouble: doubles.reserve(doubles.size() + n); break;
-    case ColumnType::kString: strings.reserve(strings.size() + n); break;
+    case ColumnType::kInt: growFor(ints, n); break;
+    case ColumnType::kDouble: growFor(doubles, n); break;
+    case ColumnType::kString: growFor(strings, n); break;
   }
 }
 

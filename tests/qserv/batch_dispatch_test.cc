@@ -22,35 +22,69 @@ namespace {
 
 // --------------------------------------------------------------- wire codec
 
-TEST(BatchCodec, RequestRoundTrip) {
-  std::vector<BatchChunkRequest> chunks;
-  chunks.push_back({101, "SELECT * FROM Object_101;\n-- trailer"});
-  // A payload that embeds NUL bytes, newlines, and text that looks like the
-  // framing itself; byte counts, not delimiters, must drive the decoder.
-  chunks.push_back({202, std::string("binary\0payload\n--#CHUNK fake", 28)});
-  chunks.push_back({303, ""});
-  std::string wire = encodeBatchRequest(chunks, 8);
+BatchRequest sampleRequest() {
+  BatchRequest request;
+  request.streamWindow = 8;
+  request.traceId = 1234567;
+  request.queryClass = QueryClass::kInteractive;
+  request.aggregate = true;
+  request.bindings = {TableBinding::kSubChunk, TableBinding::kFullOverlap};
+  // Template text that embeds NUL bytes, newlines and text that looks like
+  // the framing itself: the byte count, not delimiters, drives the decoder.
+  request.templateSql =
+      std::string("SELECT 'a\0b\n--#CHUNK 9\n' FROM Object AS o1, Object", 50);
+  request.chunks.push_back(BatchChunk{101, {1, 2, 30}});
+  request.chunks.push_back(BatchChunk{202, {}});
+  request.chunks.push_back(BatchChunk{0, {7}});
+  return request;
+}
 
+TEST(BatchCodec, RequestRoundTrip) {
+  const BatchRequest request = sampleRequest();
+  std::string wire = encodeBatchRequest(request);
   auto decoded = decodeBatchRequest(wire);
   ASSERT_TRUE(decoded.isOk()) << decoded.status().toString();
   EXPECT_EQ(decoded->streamWindow, 8);
-  ASSERT_EQ(decoded->chunks.size(), chunks.size());
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    EXPECT_EQ(decoded->chunks[i].chunkId, chunks[i].chunkId);
-    EXPECT_EQ(decoded->chunks[i].payload, chunks[i].payload);
+  EXPECT_EQ(decoded->traceId, request.traceId);
+  EXPECT_EQ(decoded->queryClass, QueryClass::kInteractive);
+  EXPECT_TRUE(decoded->aggregate);
+  EXPECT_EQ(decoded->bindings, request.bindings);
+  EXPECT_EQ(decoded->templateSql, request.templateSql);
+  ASSERT_EQ(decoded->chunks.size(), request.chunks.size());
+  for (std::size_t i = 0; i < request.chunks.size(); ++i) {
+    EXPECT_EQ(decoded->chunks[i].chunkId, request.chunks[i].chunkId);
+    EXPECT_EQ(decoded->chunks[i].subChunkIds, request.chunks[i].subChunkIds);
   }
+  // An untraced scan request with no aggregate round-trips its defaults.
+  BatchRequest plain;
+  plain.bindings = {TableBinding::kChunk, TableBinding::kKeep};
+  plain.templateSql = "SELECT 1 FROM Object AS Object, Filter";
+  plain.chunks.push_back(BatchChunk{5, {}});
+  auto back = decodeBatchRequest(encodeBatchRequest(plain));
+  ASSERT_TRUE(back.isOk()) << back.status().toString();
+  EXPECT_EQ(back->traceId, 0u);
+  EXPECT_EQ(back->queryClass, QueryClass::kScan);
+  EXPECT_FALSE(back->aggregate);
+  EXPECT_EQ(back->bindings, plain.bindings);
 }
 
 TEST(BatchCodec, RequestRejectsDamage) {
-  std::string wire =
-      encodeBatchRequest({{7, "payload-a"}, {9, "payload-b"}}, 4);
-  // Truncation, trailing garbage, and a non-batch header are all framing
-  // violations, not "best effort" parses.
+  std::string wire = encodeBatchRequest(sampleRequest());
+  // Truncation, trailing garbage, a non-batch header, a chunk count above
+  // the entries present, a bad binding and a template longer than the
+  // payload are all framing violations, not "best effort" parses.
+  std::string moreChunks = wire;
+  moreChunks.replace(moreChunks.find(" 8\n"), 0, "0");  // 3 -> 30 chunks
+  std::string badBinding = wire;
+  badBinding[badBinding.find(" so ") + 1] = 'x';
+  std::string longTemplate = wire;
+  longTemplate.replace(longTemplate.find(" 50\n"), 3, " 5000");
   for (const std::string& bad :
        {wire.substr(0, wire.size() - 1), wire + "x",
-        std::string("-- QSERV-DUMP 2 4\n"), std::string()}) {
+        std::string("-- QSERV-DUMP 2 4\n"), std::string(), moreChunks,
+        badBinding, longTemplate}) {
     auto r = decodeBatchRequest(bad);
-    ASSERT_FALSE(r.isOk());
+    ASSERT_FALSE(r.isOk()) << bad;
     EXPECT_EQ(r.status().code(), util::ErrorCode::kInvalidArgument)
         << r.status().toString();
   }

@@ -474,6 +474,27 @@ TEST_F(IntegrationTest, WorkerQueueMetricsPopulated) {
   EXPECT_GE(delta("xrd.stream_reads"), exec.chunksDispatched);
 }
 
+TEST_F(IntegrationTest, WorkerGaugesIdleAfterEveryQuery) {
+  // Regression: a worker released a task's queue-depth and busy-slot gauge
+  // shares only after publishing its result, so a snapshot taken the moment
+  // a query returned could still read 1 under load. Each of these queries
+  // checks both gauges as soon as it returns.
+  auto& reg = util::MetricsRegistry::instance();
+  const std::string queries[] = {
+      "SELECT COUNT(*) FROM Object",
+      "SELECT * FROM Object WHERE objectId = " +
+          std::to_string(someObjectId(3)),
+      "SELECT objectId FROM Object WHERE qserv_areaspec_box(1, -3, 5, 3)",
+  };
+  for (int i = 0; i < 300; ++i) {
+    auto exec = distQuery(queries[i % 3]);
+    ASSERT_TRUE(exec.result) << queries[i % 3];
+    auto snapshot = reg.snapshot();
+    ASSERT_EQ(snapshot.gauges.at("worker.queue_depth"), 0) << "query " << i;
+    ASSERT_EQ(snapshot.gauges.at("worker.busy_slots"), 0) << "query " << i;
+  }
+}
+
 TEST_F(IntegrationTest, ProcessListShowsFinishedQuery) {
   std::string sql = "SELECT COUNT(*) FROM Object";
   auto exec = distQuery(sql);

@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "qserv/dispatcher.h"
+#include "qserv/dump_integrity.h"
 #include "qserv/merger.h"
 #include "qserv/observables_codec.h"
 #include "sql/dump.h"
@@ -49,6 +50,45 @@ TEST(ResultMerger, HandlesBinaryPayloads) {
   ASSERT_TRUE(final.isOk());
   EXPECT_EQ((*final)->cell(0, 0).asInt(), 3);
   EXPECT_EQ((*final)->cell(0, 1).asInt(), 20);
+}
+
+TEST(ResultMerger, MergesFullSkyOfOneRowPartials) {
+  // A full-sky HV3 at paper geometry returns one partial-aggregate row per
+  // chunk, each shipped as its own binary payload with the worker's
+  // observables and integrity trailers.
+  constexpr std::int64_t kChunks = 8832;
+  sql::Schema schema({{"QS0_COUNT", sql::ColumnType::kInt},
+                      {"QS1_SUM", sql::ColumnType::kDouble},
+                      {"QS1_COUNT", sql::ColumnType::kInt},
+                      {"chunkId", sql::ColumnType::kInt}});
+  ResultMerger merger("m");
+  for (std::int64_t c = 0; c < kChunks; ++c) {
+    sql::Table partial("r", schema);
+    ASSERT_TRUE(partial
+                    .appendRow(std::vector<sql::Value>{
+                        sql::Value(c % 41), sql::Value(0.5 * c),
+                        sql::Value(std::int64_t{2}), sql::Value(c)})
+                    .isOk());
+    std::string payload = sql::encodeTableBinary(partial, "r_partial");
+    payload += encodeObservables(simio::WorkObservables{});
+    appendDumpChecksum(payload);
+    ASSERT_TRUE(merger.mergeDump(payload).isOk()) << "chunk " << c;
+  }
+  EXPECT_EQ(merger.rowsMerged(), static_cast<std::uint64_t>(kChunks));
+  auto final = merger.finalize(
+      "SELECT SUM(QS0_COUNT), SUM(QS1_SUM), SUM(QS1_COUNT), COUNT(*), "
+      "MIN(chunkId), MAX(chunkId) FROM m");
+  ASSERT_TRUE(final.isOk()) << final.status().toString();
+  std::int64_t count = 0;
+  for (std::int64_t c = 0; c < kChunks; ++c) count += c % 41;
+  EXPECT_EQ((*final)->cell(0, 0).asInt(), count);
+  // Halves of integers sum exactly in a double.
+  EXPECT_EQ((*final)->cell(0, 1).toDouble(),
+            0.5 * static_cast<double>(kChunks * (kChunks - 1) / 2));
+  EXPECT_EQ((*final)->cell(0, 2).asInt(), 2 * kChunks);
+  EXPECT_EQ((*final)->cell(0, 3).asInt(), kChunks);
+  EXPECT_EQ((*final)->cell(0, 4).asInt(), 0);
+  EXPECT_EQ((*final)->cell(0, 5).asInt(), kChunks - 1);
 }
 
 TEST(ResultMerger, ObservablesCommentIsHarmless) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "sql/parser.h"
+#include "util/md5.h"
 
 namespace qserv::core {
 namespace {
@@ -229,6 +232,142 @@ TEST_F(RewriterTest, StarWithAggregatesRejected) {
   ASSERT_TRUE(analyzed.isOk());
   auto r = rewriter_.rewrite(*analyzed, std::vector<std::int32_t>{1}, "m");
   EXPECT_FALSE(r.isOk());
+}
+
+
+// --------------------------------------------------- template rendering
+
+// The paper's query shapes plus the rewriter's other paths.
+const char* const kTemplateCorpus[] = {
+    // LV1-3
+    "SELECT * FROM Object WHERE objectId = 433327840428745",
+    "SELECT taiMidPoint, fluxToAbMag(psfFlux), fluxToAbMag(psfFluxErr), ra, "
+    "decl FROM Source WHERE objectId = 433327840428745",
+    "SELECT COUNT(*) FROM Object WHERE ra_PS BETWEEN 1 AND 2 AND decl_PS "
+    "BETWEEN 3 AND 4 AND fluxToAbMag(zFlux_PS) BETWEEN 21 AND 21.5",
+    // HV1-3
+    "SELECT COUNT(*) FROM Object WHERE gFlux_PS > 3.981072e-30",
+    "SELECT COUNT(*) AS n, AVG(ra_PS), AVG(decl_PS), chunkId FROM Object "
+    "WHERE fluxToAbMag(rFlux_PS) < 24.5 GROUP BY chunkId",
+    "SELECT objectId, ra_PS, decl_PS, uFlux_PS, gFlux_PS FROM Object "
+    "WHERE fluxToAbMag(iFlux_PS) - fluxToAbMag(zFlux_PS) > 2.75",
+    // SHV1-2
+    "SELECT count(*) FROM Object o1, Object o2 "
+    "WHERE qserv_areaspec_box(4, -3, 10, 3) "
+    "AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.1",
+    "SELECT o.objectId, s.sourceId FROM Object o, Source s "
+    "WHERE qserv_areaspec_box(4, -3, 10, 3) AND o.objectId = s.objectId "
+    "AND qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > 0.0045",
+    // Areaspec boxes, including one across the 0/360 meridian.
+    "SELECT objectId, ra_PS, decl_PS FROM Object "
+    "WHERE qserv_areaspec_box(10.5, -20.25, 30.75, -5)",
+    "SELECT COUNT(*) FROM Object WHERE qserv_areaspec_box(350, -5, 10, 5) "
+    "AND rFlux_PS > 1e-30",
+    // GROUP BY / HAVING / ORDER BY / LIMIT / DISTINCT
+    "SELECT chunkId, MIN(ra_PS), MAX(decl_PS), SUM(gFlux_PS) FROM Object "
+    "GROUP BY chunkId HAVING COUNT(*) > 3 ORDER BY chunkId",
+    "SELECT objectId, ra_PS FROM Object ORDER BY ra_PS DESC LIMIT 10",
+    "SELECT DISTINCT chunkId FROM Object WHERE decl_PS > 0 LIMIT 5",
+    "SELECT Object.objectId FROM Object WHERE Object.ra_PS > 3 "
+    "AND Object.objectId IN (1, 2, 3) AND uFlux_PS IS NOT NULL",
+    // Near-neighbor with every subchunk of every chunk listed.
+    "SELECT o1.objectId, o2.objectId FROM Object AS o1, Object AS o2 "
+    "WHERE qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.05 "
+    "AND o1.objectId <> o2.objectId",
+    // A lower-case table name: chunk tables use the catalog's spelling.
+    "SELECT objectId FROM object WHERE ra_PS > 3",
+};
+
+/// MD5 over each corpus query's chunk texts (NUL-separated, in chunk order)
+/// as the AST-clone rewriter rendered them — one SelectStmt clone plus
+/// toSql() per chunk — before texts were spliced from a template, under
+/// CatalogConfig::lsst(18, 6) over every chunk (or the areaspec's cover).
+const char* const kAstCloneDigests[] = {
+    "90aa348f79e0bf333a57afe2b76f25bf",  // 368 chunk queries, 26477 bytes
+    "827c84e261d6ec37c2ab0e805ff28f28",  // 368 chunk queries, 51133 bytes
+    "75d02768863c50b26b570526632fa9b8",  // 1 chunk queries, 182 bytes
+    "2abe23e774c71f9d042d59a7a8bfb9cc",  // 368 chunk queries, 41197 bytes
+    "c060602556a1b962538c8f0b2db7cefb",  // 368 chunk queries, 91245 bytes
+    "a6ac1b91581de9c53d050029ca42a124",  // 368 chunk queries, 52605 bytes
+    "4ebffda6d54a9ad288664102f58cdcb2",  // 2 chunk queries, 5176 bytes
+    "c1a6731a4263d65477573d35b52109c3",  // 2 chunk queries, 516 bytes
+    "a9cd7001d1adb23eb75341201875fc07",  // 8 chunk queries, 1216 bytes
+    "7b43b82cb927ddd5a8848c2a757e865c",  // 4 chunk queries, 804 bytes
+    "038e0a77fd0372226c507ff9cfd15712",  // 368 chunk queries, 66589 bytes
+    "f325417fe3d20b6dce17ef92b2aefb1c",  // 368 chunk queries, 29421 bytes
+    "f9ed86c2c8e3f143a029e840e065cb76",  // 368 chunk queries, 29421 bytes
+    "f31bf5b8c0baacf7306aa485a0e7d25e",  // 368 chunk queries, 52237 bytes
+    "924a125de77d4a1be7d886dd5e2abb7f",  // 368 chunk queries, 3456203 bytes
+    "8d5dce64bcc448cab4294ab0e7168ba5",  // 368 chunk queries, 22797 bytes
+};
+
+class TemplateRenderTest : public RewriterTest {
+ protected:
+  /// Full-sky chunks, or the chunks covering the query's area restriction.
+  RewriteResult rewriteCorpusQuery(const char* sql, bool renderText) {
+    auto analyzed = analyzeQuery(sql, config_);
+    EXPECT_TRUE(analyzed.isOk()) << analyzed.status().toString();
+    std::vector<std::int32_t> chunks =
+        analyzed->areaRestriction
+            ? chunker_.chunksIntersecting(*analyzed->areaRestriction)
+            : chunker_.allChunks();
+    auto r = renderText ? rewriter_.rewrite(*analyzed, chunks, "merged")
+                        : rewriter_.rewriteTemplate(*analyzed, chunks, "merged");
+    EXPECT_TRUE(r.isOk()) << r.status().toString() << " for: " << sql;
+    return std::move(r).value();
+  }
+};
+
+TEST_F(TemplateRenderTest, ChunkTextsMatchTheAstCloneRewrite) {
+  static_assert(std::size(kTemplateCorpus) == std::size(kAstCloneDigests));
+  for (std::size_t i = 0; i < std::size(kTemplateCorpus); ++i) {
+    RewriteResult r = rewriteCorpusQuery(kTemplateCorpus[i], true);
+    ASSERT_FALSE(r.chunkQueries.empty()) << kTemplateCorpus[i];
+    std::string all;
+    for (const ChunkQuerySpec& spec : r.chunkQueries) {
+      all += spec.text;
+      all += '\0';
+    }
+    EXPECT_EQ(util::Md5::hex(all), kAstCloneDigests[i]) << kTemplateCorpus[i];
+  }
+}
+
+TEST_F(TemplateRenderTest, BoundTemplateMatchesParsedChunkText) {
+  // What a worker runs for a batch task (the template parsed once, bound to
+  // the chunk) equals what it runs for the same chunk's /query2 payload.
+  for (const char* sql : kTemplateCorpus) {
+    RewriteResult r = rewriteCorpusQuery(sql, false);
+    ASSERT_FALSE(r.chunkQueries.empty()) << sql;
+    const ChunkTemplate& tmpl = *r.chunkQueries.front().chunkTemplate;
+    auto parsed = sql::parseSelect(tmpl.sql());
+    ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
+    for (const ChunkQuerySpec& spec : r.chunkQueries) {
+      EXPECT_TRUE(spec.text.empty());
+      EXPECT_EQ(spec.chunkTemplate.get(), &tmpl);
+      std::string text = chunkQueryText(spec);
+      auto fromText = sql::parseScript(text);
+      ASSERT_TRUE(fromText.isOk()) << fromText.status().toString();
+      auto bound = bindChunkStatements(*parsed, tmpl.bindings(), spec.chunkId,
+                                       spec.subChunkIds);
+      ASSERT_TRUE(bound.isOk()) << bound.status().toString();
+      ASSERT_EQ(bound->size(), fromText->size()) << text;
+      for (std::size_t k = 0; k < bound->size(); ++k) {
+        ASSERT_EQ(sql::statementToSql((*bound)[k]),
+                  sql::statementToSql((*fromText)[k]))
+            << text;
+      }
+      EXPECT_EQ(text.find("-- QSERV-AGG\n") != std::string::npos,
+                tmpl.aggregate());
+    }
+  }
+}
+
+TEST_F(TemplateRenderTest, BindingRejectsMismatchedFromList) {
+  auto parsed = sql::parseSelect("SELECT 1 FROM Object AS Object");
+  ASSERT_TRUE(parsed.isOk());
+  const TableBinding two[] = {TableBinding::kChunk, TableBinding::kKeep};
+  auto bound = bindChunkStatements(*parsed, two, 7, {});
+  EXPECT_EQ(bound.status().code(), util::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <thread>
 
 #include "datagen/partitioner.h"
 #include "datagen/schemas.h"
 #include "qserv/batch_codec.h"
 #include "qserv/cluster.h"
+#include "qserv/observables_codec.h"
 #include "sql/rowcodec.h"
 #include "util/md5.h"
 #include "util/strings.h"
@@ -46,6 +48,18 @@ class WorkerTest : public ::testing::Test {
 
   std::unique_ptr<Worker> makeWorker(WorkerConfig wc = {}) {
     return std::make_unique<Worker>("w0", db_, config_, chunks_, wc);
+  }
+
+  /// A batch request running \p templateSql (one FROM table, bound to each
+  /// chunk table) on \p chunks.
+  static BatchRequest countBatch(std::vector<std::int32_t> chunks,
+                                 std::string templateSql, int window) {
+    BatchRequest request;
+    request.streamWindow = window;
+    request.bindings = {TableBinding::kChunk};
+    request.templateSql = std::move(templateSql);
+    for (std::int32_t c : chunks) request.chunks.push_back(BatchChunk{c, {}});
+    return request;
   }
 
   /// Round-trip one chunk query through the ofs interface.
@@ -197,8 +211,9 @@ TEST_F(WorkerTest, ObservablesScaleWithRowScale) {
   std::int32_t chunk = populatedChunk_;
   std::string q = "SELECT COUNT(*) AS c FROM Object_" +
                   std::to_string(chunk) + " WHERE ra_PS > 0;";
-  ASSERT_TRUE(runQuery(*w, chunk, q).isOk());
-  auto obs = w->observablesFor(util::Md5::hex(q));
+  auto dump = runQuery(*w, chunk, q);
+  ASSERT_TRUE(dump.isOk()) << dump.status().toString();
+  auto obs = decodeObservables(*dump);
   ASSERT_TRUE(obs.has_value());
   auto rows =
       db_->execute("SELECT COUNT(*) FROM Object_" + std::to_string(chunk));
@@ -253,7 +268,7 @@ TEST_F(WorkerTest, SharedScanGroupChargesIoOnce) {
   for (const auto& q : queries) {
     auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
     ASSERT_TRUE(r.isOk()) << r.status().toString();
-    auto obs = w->observablesFor(util::Md5::hex(q));
+    auto obs = decodeObservables(*r);
     ASSERT_TRUE(obs.has_value());
     if (obs->bytesScanned > 0) ++charged;
   }
@@ -282,8 +297,9 @@ TEST_F(WorkerTest, FifoChargesEveryScan) {
   w->resume();
   int charged = 0;
   for (const auto& q : queries) {
-    ASSERT_TRUE(w->readFile(xrd::makeResultPath(util::Md5::hex(q))).isOk());
-    auto obs = w->observablesFor(util::Md5::hex(q));
+    auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
+    ASSERT_TRUE(r.isOk()) << r.status().toString();
+    auto obs = decodeObservables(*r);
     ASSERT_TRUE(obs.has_value());
     if (obs->bytesScanned > 0) ++charged;
   }
@@ -317,7 +333,7 @@ TEST_F(WorkerTest, InteractiveClassBypassesScanGroup) {
   for (const auto& q : queries) {
     auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
     ASSERT_TRUE(r.isOk()) << r.status().toString();
-    auto obs = w->observablesFor(util::Md5::hex(q));
+    auto obs = decodeObservables(*r);
     ASSERT_TRUE(obs.has_value());
     if (obs->bytesScanned > 0) ++charged;
   }
@@ -335,9 +351,9 @@ TEST_F(WorkerTest, AbandonedGroupLeaderDoesNotEatIoCharge) {
   wc.startPaused = true;
   auto w = makeWorker(wc);
   std::int32_t chunk = populatedChunk_;
-  std::string batchQuery = "SELECT COUNT(*) AS c FROM Object_" +
-                           std::to_string(chunk) + " WHERE decl_PS > -500;";
-  std::string wire = encodeBatchRequest({{chunk, batchQuery}}, 4);
+  std::string wire = encodeBatchRequest(countBatch(
+      {chunk}, "SELECT COUNT(*) AS c FROM Object WHERE decl_PS > -500",
+      /*window=*/4));
   std::string batchId = util::Md5::hex(wire);
   ASSERT_TRUE(w->writeFile(xrd::makeBatchPath(batchId), wire).isOk());
   // A second scan of the same chunk queues behind it, into the same group.
@@ -349,7 +365,7 @@ TEST_F(WorkerTest, AbandonedGroupLeaderDoesNotEatIoCharge) {
   w->resume();
   auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(survivor)));
   ASSERT_TRUE(r.isOk()) << r.status().toString();
-  auto obs = w->observablesFor(util::Md5::hex(survivor));
+  auto obs = decodeObservables(*r);
   ASSERT_TRUE(obs.has_value());
   EXPECT_GT(obs->bytesScanned, 0.0);
 }
@@ -362,13 +378,10 @@ TEST_F(WorkerTest, QueuedTasksIncludesClaimedUnfinishedWork) {
   auto w = makeWorker(wc);
   ASSERT_GE(chunks_.size(), 2u);
   std::int32_t a = chunks_[0], b = chunks_[1];
-  auto query = [](std::int32_t c) {
-    return "SELECT COUNT(*) AS c FROM Object_" + std::to_string(c) + ";";
-  };
   // Stream window 1: the second chunk's publish blocks until the first
   // frame is read, pinning one claimed-but-unfinished task in the slot.
-  std::string wire =
-      encodeBatchRequest({{a, query(a)}, {b, query(b)}}, /*window=*/1);
+  std::string wire = encodeBatchRequest(countBatch(
+      {a, b}, "SELECT COUNT(*) AS c FROM Object", /*window=*/1));
   std::string batchId = util::Md5::hex(wire);
   ASSERT_TRUE(w->writeFile(xrd::makeBatchPath(batchId), wire).isOk());
   // Both tasks have executed once tasksExecuted()==2, but the second is
@@ -386,6 +399,50 @@ TEST_F(WorkerTest, QueuedTasksIncludesClaimedUnfinishedWork) {
   ASSERT_TRUE(w->readFile(streamPath).isOk());
   while (w->queuedTasks() != 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(w->queuedTasks(), 0u);
+}
+
+TEST_F(WorkerTest, BatchRunsTheTemplateOnEachChunk) {
+  auto w = makeWorker();
+  ASSERT_GE(chunks_.size(), 2u);
+  std::int32_t a = chunks_[0], b = chunks_[1];
+  std::string wire = encodeBatchRequest(
+      countBatch({a, b}, "SELECT COUNT(*) AS c FROM Object", /*window=*/0));
+  std::string batchId = util::Md5::hex(wire);
+  ASSERT_TRUE(w->writeFile(xrd::makeBatchPath(batchId), wire).isOk());
+  std::map<std::int32_t, std::int64_t> counts;
+  for (int i = 0; i < 2; ++i) {
+    auto bytes = w->readFile(xrd::makeBatchStreamPath(batchId));
+    ASSERT_TRUE(bytes.isOk()) << bytes.status().toString();
+    auto frame = decodeResultFrame(*bytes);
+    ASSERT_TRUE(frame.isOk() && frame->status.isOk());
+    auto table = sql::decodeTableBinary(frame->body);
+    ASSERT_TRUE(table.isOk()) << table.status().toString();
+    counts[frame->chunkId] = (*table)->cell(0, 0).asInt();
+  }
+  for (std::int32_t c : {a, b}) {
+    auto rows = db_->execute("SELECT COUNT(*) FROM " +
+                             datagen::chunkTableName("Object", c));
+    ASSERT_TRUE(rows.isOk());
+    EXPECT_EQ(counts[c], (*rows)->cell(0, 0).asInt()) << "chunk " << c;
+  }
+}
+
+TEST_F(WorkerTest, BatchWithBadTemplateIsRejected) {
+  // The template is parsed once, at enqueue: one that does not parse, or
+  // whose FROM list does not match its bindings, rejects the whole batch
+  // (the dispatcher then runs its chunks per chunk).
+  auto w = makeWorker();
+  BatchRequest bad = countBatch({chunks_[0]}, "SELECT FROM WHERE", 4);
+  BatchRequest mismatched =
+      countBatch({chunks_[0]}, "SELECT 1 FROM Object AS a, Object AS b", 4);
+  for (const BatchRequest& request : {bad, mismatched}) {
+    std::string wire = encodeBatchRequest(request);
+    util::Status written =
+        w->writeFile(xrd::makeBatchPath(util::Md5::hex(wire)), wire);
+    EXPECT_EQ(written.code(), util::ErrorCode::kInvalidArgument)
+        << written.toString();
   }
   EXPECT_EQ(w->queuedTasks(), 0u);
 }
