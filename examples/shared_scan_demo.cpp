@@ -12,6 +12,7 @@
 
 #include "datagen/partitioner.h"
 #include "example_util.h"
+#include "qserv/batch_codec.h"
 #include "qserv/cluster.h"
 #include "qserv/observables_codec.h"
 #include "qserv/worker.h"
@@ -61,10 +62,16 @@ int main() {
     wc.startPaused = true;
     core::Worker worker("w0", db, catalog, chunks, wc);
 
+    // Each chunk request carries the query's template once, its one FROM
+    // table bound to the chunk table, plus the chunk id (batch_codec.h).
     std::vector<std::string> queries;
     for (const char* pred : predicates) {
-      queries.push_back(util::format(
-          "SELECT COUNT(*) AS c FROM Object_%d WHERE %s;", densest, pred));
+      core::BatchRequest request;
+      request.bindings = {core::TableBinding::kChunk};
+      request.templateSql =
+          util::format("SELECT COUNT(*) AS c FROM Object WHERE %s", pred);
+      request.chunks.push_back(core::BatchChunk{densest, {}});
+      queries.push_back(core::encodeBatchRequest(request));
       if (!worker.writeFile(xrd::makeQueryPath(densest), queries.back())
                .isOk()) {
         return 1;

@@ -1,9 +1,9 @@
 #include "qserv/batch_codec.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/strings.h"
-#include "util/trace.h"
 
 namespace qserv::core {
 
@@ -14,6 +14,7 @@ namespace {
 
 constexpr std::string_view kBatchHeader = "-- QSERV-BATCH ";
 constexpr std::string_view kTraceHeader = "-- QSERV-TRACE: ";
+constexpr std::string_view kClassHeader = "-- QSERV-CLASS: ";
 constexpr std::string_view kTemplateHeader = "--#TEMPLATE ";
 constexpr std::string_view kChunkHeader = "--#CHUNK ";
 constexpr std::string_view kFrameHeader = "--#FRAME ";
@@ -22,19 +23,19 @@ constexpr std::string_view kFrameHeader = "--#FRAME ";
 constexpr std::size_t kMinChunkEntryBytes = kChunkHeader.size() + 2;
 
 /// Parse a non-negative decimal integer starting at \p pos; advances \p pos
-/// past it. Returns -1 when no digits are present or the value exceeds
-/// \p max.
-std::int64_t parseInt(const std::string& s, std::size_t& pos,
-                      std::int64_t max = INT32_MAX) {
+/// past it. nullopt when no digits are present or the value exceeds \p max.
+std::optional<std::uint64_t> parseUint(const std::string& s, std::size_t& pos,
+                                       std::uint64_t max = INT32_MAX) {
   std::size_t start = pos;
-  std::int64_t value = 0;
+  std::uint64_t value = 0;
   while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-    const std::int64_t digit = s[pos] - '0';
-    if (value > (max - digit) / 10) return -1;
+    const auto digit = static_cast<std::uint64_t>(s[pos] - '0');
+    if (value > (max - digit) / 10) return std::nullopt;
     value = value * 10 + digit;
     ++pos;
   }
-  return pos == start ? -1 : value;
+  if (pos == start) return std::nullopt;
+  return value;
 }
 
 bool skipChar(const std::string& s, std::size_t& pos, char c) {
@@ -68,8 +69,14 @@ std::string encodeBatchRequest(const BatchRequest& request) {
   out += kBatchHeader;
   out += util::format("%zu %d\n", request.chunks.size(),
                       request.streamWindow);
-  if (request.traceId != 0) out += util::traceHeaderLine(request.traceId);
-  out += classHeaderLine(request.queryClass);
+  if (request.traceId != 0) {
+    out += kTraceHeader;
+    out += std::to_string(request.traceId);
+    out += '\n';
+  }
+  out += kClassHeader;
+  out += queryClassName(request.queryClass);
+  out += '\n';
   out += kTemplateHeader;
   out += request.aggregate ? "1 " : "0 ";
   for (TableBinding b : request.bindings) out += static_cast<char>(b);
@@ -93,30 +100,34 @@ Result<BatchRequest> decodeBatchRequest(const std::string& payload) {
   if (!skipText(payload, pos, kBatchHeader)) {
     return Status::invalidArgument("batch request: missing header");
   }
-  std::int64_t count = parseInt(payload, pos);
-  if (count < 0 || !skipChar(payload, pos, ' ')) {
+  auto count = parseUint(payload, pos);
+  if (!count || !skipChar(payload, pos, ' ')) {
     return Status::invalidArgument("batch request: bad chunk count");
   }
-  std::int64_t window = parseInt(payload, pos);
-  if (window < 0 || !skipChar(payload, pos, '\n')) {
+  auto window = parseUint(payload, pos);
+  if (!window || !skipChar(payload, pos, '\n')) {
     return Status::invalidArgument("batch request: bad stream window");
   }
   BatchRequest out;
-  out.streamWindow = static_cast<int>(window);
+  out.streamWindow = static_cast<int>(*window);
   if (skipText(payload, pos, kTraceHeader)) {
-    std::int64_t traceId = parseInt(payload, pos, INT64_MAX);
-    if (traceId <= 0 || !skipChar(payload, pos, '\n')) {
+    // Trace ids span the full uint64 range; 0 means untraced and is never
+    // written.
+    auto traceId = parseUint(payload, pos, UINT64_MAX);
+    if (!traceId || *traceId == 0 || !skipChar(payload, pos, '\n')) {
       return Status::invalidArgument("batch request: bad trace header");
     }
-    out.traceId = static_cast<std::uint64_t>(traceId);
+    out.traceId = *traceId;
   }
-  if (skipText(payload, pos, classHeaderLine(QueryClass::kScan))) {
+  if (!skipText(payload, pos, kClassHeader)) {
+    return Status::invalidArgument("batch request: missing class header");
+  }
+  if (skipText(payload, pos, "scan\n")) {
     out.queryClass = QueryClass::kScan;
-  } else if (skipText(payload, pos,
-                      classHeaderLine(QueryClass::kInteractive))) {
+  } else if (skipText(payload, pos, "interactive\n")) {
     out.queryClass = QueryClass::kInteractive;
   } else {
-    return Status::invalidArgument("batch request: bad class header");
+    return Status::invalidArgument("batch request: unknown query class");
   }
   if (!skipText(payload, pos, kTemplateHeader)) {
     return Status::invalidArgument("batch request: missing template");
@@ -132,43 +143,40 @@ Result<BatchRequest> decodeBatchRequest(const std::string& payload) {
   if (!skipChar(payload, pos, ' ')) {
     return Status::invalidArgument("batch request: bad table bindings");
   }
-  std::int64_t len = parseInt(payload, pos);
-  if (len < 0 || !skipChar(payload, pos, '\n') ||
-      static_cast<std::size_t>(len) > payload.size() - pos) {
+  auto len = parseUint(payload, pos);
+  if (!len || !skipChar(payload, pos, '\n') || *len > payload.size() - pos) {
     return Status::invalidArgument("batch request: bad template length");
   }
-  out.templateSql = payload.substr(pos, static_cast<std::size_t>(len));
-  pos += static_cast<std::size_t>(len);
+  out.templateSql = payload.substr(pos, *len);
+  pos += *len;
   if (!skipChar(payload, pos, '\n')) {
     return Status::invalidArgument("batch request: missing template end");
   }
-  out.chunks.reserve(std::min(static_cast<std::size_t>(count),
+  out.chunks.reserve(std::min(static_cast<std::size_t>(*count),
                               (payload.size() - pos) / kMinChunkEntryBytes));
-  for (std::int64_t i = 0; i < count; ++i) {
+  for (std::uint64_t i = 0; i < *count; ++i) {
     if (!skipText(payload, pos, kChunkHeader)) {
       return Status::invalidArgument(
-          util::format("batch request: missing chunk entry %lld",
-                       static_cast<long long>(i)));
+          util::format("batch request: missing chunk entry %llu",
+                       static_cast<unsigned long long>(i)));
     }
     BatchChunk chunk;
-    std::int64_t chunkId = parseInt(payload, pos);
-    if (chunkId < 0) {
+    auto chunkId = parseUint(payload, pos);
+    if (!chunkId) {
       return Status::invalidArgument("batch request: bad chunk id");
     }
-    chunk.chunkId = static_cast<std::int32_t>(chunkId);
+    chunk.chunkId = static_cast<std::int32_t>(*chunkId);
     while (skipChar(payload, pos, ' ')) {
-      std::int64_t sc = parseInt(payload, pos);
-      if (sc < 0) {
+      auto sc = parseUint(payload, pos);
+      if (!sc) {
         return Status::invalidArgument(util::format(
-            "batch request: bad subchunk id for chunk %lld",
-            static_cast<long long>(chunkId)));
+            "batch request: bad subchunk id for chunk %d", chunk.chunkId));
       }
-      chunk.subChunkIds.push_back(static_cast<std::int32_t>(sc));
+      chunk.subChunkIds.push_back(static_cast<std::int32_t>(*sc));
     }
     if (!skipChar(payload, pos, '\n')) {
       return Status::invalidArgument(util::format(
-          "batch request: bad entry for chunk %lld",
-          static_cast<long long>(chunkId)));
+          "batch request: bad entry for chunk %d", chunk.chunkId));
     }
     out.chunks.push_back(std::move(chunk));
   }
@@ -210,12 +218,12 @@ Result<BatchResultFrame> decodeResultFrame(const std::string& frame) {
     return Status::dataLoss("batch stream: damaged frame header");
   }
   std::size_t pos = kFrameHeader.size();
-  std::int64_t chunkId = parseInt(frame, pos);
-  if (chunkId < 0 || !skipChar(frame, pos, ' ')) {
+  auto chunkId = parseUint(frame, pos);
+  if (!chunkId || !skipChar(frame, pos, ' ')) {
     return Status::dataLoss("batch stream: damaged frame chunk id");
   }
   BatchResultFrame out;
-  out.chunkId = static_cast<std::int32_t>(chunkId);
+  out.chunkId = static_cast<std::int32_t>(*chunkId);
   bool ok;
   if (frame.compare(pos, 3, "ok ") == 0) {
     ok = true;
@@ -226,16 +234,16 @@ Result<BatchResultFrame> decodeResultFrame(const std::string& frame) {
   } else {
     return Status::dataLoss("batch stream: damaged frame disposition");
   }
-  std::int64_t code = 0;
+  std::uint64_t code = 0;
   if (!ok) {
-    code = parseInt(frame, pos);
-    if (code < 0 || !skipChar(frame, pos, ' ')) {
+    auto parsed = parseUint(frame, pos);
+    if (!parsed || !skipChar(frame, pos, ' ')) {
       return Status::dataLoss("batch stream: damaged frame error code");
     }
+    code = *parsed;
   }
-  std::int64_t len = parseInt(frame, pos);
-  if (len < 0 || !skipChar(frame, pos, '\n') ||
-      pos + static_cast<std::size_t>(len) != frame.size()) {
+  auto len = parseUint(frame, pos);
+  if (!len || !skipChar(frame, pos, '\n') || pos + *len != frame.size()) {
     return Status::dataLoss("batch stream: damaged frame length");
   }
   if (ok) {

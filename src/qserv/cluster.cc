@@ -1,7 +1,5 @@
 #include "qserv/cluster.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -57,42 +55,6 @@ Result<datagen::PartitionedCatalog> buildSkyCatalog(
 
   sphgeom::Chunker chunker = catalog.makeChunker();
   return datagen::partitionCatalog(chunker, objects, sources);
-}
-
-FrontendPool::FrontendPool(const FrontendConfig& config,
-                           xrd::RedirectorPtr redirector,
-                           std::vector<std::int32_t> availableChunks,
-                           int numFrontends) {
-  int n = std::max(1, numFrontends);
-  frontends_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    frontends_.push_back(std::make_unique<QservFrontend>(config, redirector,
-                                                         availableChunks));
-    routed_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
-  }
-}
-
-util::Status FrontendPool::loadIndex(
-    std::span<const datagen::SecondaryIndexEntry> entries) {
-  for (auto& f : frontends_) {
-    QSERV_RETURN_IF_ERROR(f->secondaryIndex().load(entries));
-  }
-  return util::Status::ok();
-}
-
-util::Result<QservFrontend::Execution> FrontendPool::query(
-    const std::string& sql) {
-  std::size_t i = static_cast<std::size_t>(
-      next_.fetch_add(1, std::memory_order_relaxed) % frontends_.size());
-  routed_[i]->fetch_add(1, std::memory_order_relaxed);
-  return frontends_[i]->query(sql);
-}
-
-std::vector<std::uint64_t> FrontendPool::routedCounts() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(routed_.size());
-  for (const auto& r : routed_) out.push_back(r->load());
-  return out;
 }
 
 MiniCluster::~MiniCluster() {

@@ -4,11 +4,9 @@
 /// examples, and the paper-reproduction benches.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "datagen/catalog_gen.h"
@@ -58,36 +56,6 @@ struct ClusterOptions {
   /// constructed (repairController()); its monitor thread only runs after
   /// an explicit start() — tests drive probeOnce()/repairOnce() directly.
   RepairConfig repair;
-};
-
-/// §7.6 "Distributed management": "One way to distribute the management
-/// load is to launch multiple master instances. This is simple and requires
-/// no code changes other than some logic in the MySQL proxy to load-balance
-/// between different Qserv masters." FrontendPool is that proxy logic: k
-/// independent frontends (each with its own metadata database, secondary
-/// index, and dispatcher) sharing one worker fabric, with round-robin
-/// query routing.
-class FrontendPool {
- public:
-  FrontendPool(const FrontendConfig& config, xrd::RedirectorPtr redirector,
-               std::vector<std::int32_t> availableChunks, int numFrontends);
-
-  /// Load the secondary index into every frontend.
-  util::Status loadIndex(std::span<const datagen::SecondaryIndexEntry> entries);
-
-  /// Route one query to the next frontend (round-robin).
-  util::Result<QservFrontend::Execution> query(const std::string& sql);
-
-  std::size_t size() const { return frontends_.size(); }
-  QservFrontend& frontend(std::size_t i) { return *frontends_[i]; }
-
-  /// Queries routed to each frontend so far.
-  std::vector<std::uint64_t> routedCounts() const;
-
- private:
-  std::vector<std::unique_ptr<QservFrontend>> frontends_;
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> routed_;
-  std::atomic<std::uint64_t> next_{0};
 };
 
 /// A whole Qserv deployment in one process: N workers (each an Xrootd data

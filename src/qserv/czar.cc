@@ -471,8 +471,8 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
         rewrite, rewriter.rewriteTemplate(analyzed, chunks, mergeTable));
     span.attr("chunkQueries",
               static_cast<std::int64_t>(rewrite.chunkQueries.size()));
-    // Scheduler class, shipped to every worker in the -- QSERV-CLASS
-    // payload header (scan_scheduler.h): point/secondary-index lookups ride
+    // Scheduler class, shipped to every worker in the chunk request
+    // (scan_scheduler.h): point/secondary-index lookups ride
     // the interactive priority lane, multi-chunk scans the shared-scan lane.
     exec.queryClass = deriveQueryClass(analyzed, chunks.size());
     for (auto& spec : rewrite.chunkQueries) {

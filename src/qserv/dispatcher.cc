@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <tuple>
 #include <unordered_map>
 
@@ -68,17 +69,27 @@ bool isRetryable(const Status& s) {
          s.code() == util::ErrorCode::kDataLoss;
 }
 
-/// The /query2 payload a worker receives for \p spec. Header comments carry
-/// the trace id (so the worker can attach its spans to this query) and the
-/// scheduler class; the result hash — md5 of the payload — is how the
-/// dispatcher finds the dump.
-std::string buildChunkPayload(const ChunkQuerySpec& spec,
-                              const util::TracePtr& trace) {
-  std::string payload;
-  if (trace) payload += util::traceHeaderLine(trace->id());
-  payload += classHeaderLine(spec.queryClass);
-  payload += chunkQueryText(spec);
-  return payload;
+/// The chunk request for \p chunks, which share one query's template and
+/// class: the template, its bindings and aggregate flag, the class and the
+/// trace id (so the worker attaches its spans to this query) once, then
+/// each chunk's entry. A per-chunk attempt writes it holding one chunk to
+/// /query2, and finds the result at /result/<md5 of the request>; a batch
+/// writes it to /batch/<md5 of the request>.
+std::string encodeChunkRequest(std::span<const ChunkQuerySpec* const> chunks,
+                               const util::TracePtr& trace, int streamWindow) {
+  const ChunkTemplate& tmpl = *chunks.front()->chunkTemplate;
+  BatchRequest request;
+  request.streamWindow = streamWindow;
+  request.traceId = trace ? trace->id() : 0;
+  request.queryClass = chunks.front()->queryClass;
+  request.aggregate = tmpl.aggregate();
+  request.bindings = tmpl.bindings();
+  request.templateSql = tmpl.sql();
+  request.chunks.reserve(chunks.size());
+  for (const ChunkQuerySpec* spec : chunks) {
+    request.chunks.push_back(BatchChunk{spec->chunkId, spec->subChunkIds});
+  }
+  return encodeBatchRequest(request);
 }
 }  // namespace
 
@@ -128,7 +139,8 @@ Result<ChunkResult> Dispatcher::runOne(const ChunkQuerySpec& spec,
   util::ScopedSpan span(trace, "dispatcher",
                         util::format("chunk %d", spec.chunkId));
   xrd::XrdClient client(redirector_);
-  std::string payload = buildChunkPayload(spec, trace);
+  const ChunkQuerySpec* const one[] = {&spec};
+  std::string payload = encodeChunkRequest(one, trace, /*streamWindow=*/0);
   std::string hash = util::Md5::hex(payload);
   // Deterministic, per-chunk-decorrelated backoff stream.
   std::uint64_t backoffSeed =
@@ -395,7 +407,7 @@ std::vector<BatchPlanEntry> Dispatcher::planBatches(
   std::vector<std::int32_t> unplaced;
   for (const auto& spec : specs) {
     auto server = redirector_->locate(xrd::makeQueryPath(spec.chunkId));
-    if (server.isOk() && spec.chunkTemplate) {
+    if (server.isOk()) {
       byWorker[(*server)->id()].push_back(spec.chunkId);
     } else {
       unplaced.push_back(spec.chunkId);
@@ -424,23 +436,14 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
 
   // The template once, then the chunk ids: every chunk of one batch shares
   // its query's template and class (runBatched groups them that way).
-  const ChunkQuerySpec& first = *chunks.front();
-  BatchRequest request;
-  request.streamWindow = config_.streamWindow;
-  request.traceId = trace ? trace->id() : 0;
-  request.queryClass = first.queryClass;
-  request.aggregate = first.chunkTemplate->aggregate();
-  request.bindings = first.chunkTemplate->bindings();
-  request.templateSql = first.chunkTemplate->sql();
-  request.chunks.reserve(chunks.size());
+  std::string requestBytes =
+      encodeChunkRequest(chunks, trace, config_.streamWindow);
+  std::string batchId = util::Md5::hex(requestBytes);
   std::unordered_map<std::int32_t, const ChunkQuerySpec*> pending;
   pending.reserve(chunks.size());
   for (const ChunkQuerySpec* spec : chunks) {
     pending.emplace(spec->chunkId, spec);
-    request.chunks.push_back(BatchChunk{spec->chunkId, spec->subChunkIds});
   }
-  std::string requestBytes = encodeBatchRequest(request);
-  std::string batchId = util::Md5::hex(requestBytes);
 
   util::ScopedSpan span(trace, "dispatcher",
                         util::format("batch %s", workerId.c_str()));
@@ -649,18 +652,12 @@ Result<DispatchReport> Dispatcher::runBatched(
   // Plan: one batch per (query, worker) at the redirector's current
   // placement, keyed by template and class too so each batch ships one
   // template. Chunks without a live replica go straight to the per-chunk
-  // path, which owns the precise error semantics, as do specs without a
-  // template.
+  // path, which owns the precise error semantics.
   using BatchKey =
       std::tuple<std::string, const ChunkTemplate*, QueryClass>;
   std::map<BatchKey, std::vector<const ChunkQuerySpec*>> byWorker;
   std::vector<RetryItem> spill;
   for (const auto& spec : specs) {
-    if (!spec.chunkTemplate) {
-      spill.push_back(
-          RetryItem{&spec, {}, 0, Status::internal("not attempted")});
-      continue;
-    }
     auto server = redirector_->locate(xrd::makeQueryPath(spec.chunkId));
     if (server.isOk()) {
       byWorker[{(*server)->id(), spec.chunkTemplate.get(), spec.queryClass}]

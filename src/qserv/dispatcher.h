@@ -2,11 +2,12 @@
 /// \brief Master-side chunk-query dispatch and result collection (paper §5.4).
 ///
 /// For each chunk query, the dispatcher performs the two Xrootd file
-/// transactions: write the query text to /query2/<CC> (the redirector picks
-/// a live replica), then read the dump back from /result/<md5> on the worker
-/// that accepted it. Dispatch fans out over a thread pool; per-chunk results
-/// carry the worker id and the paper-scale work observables used by the
-/// virtual-time simulation.
+/// transactions: write the chunk request (the query's chunk template plus
+/// this one chunk id; see batch_codec.h) to /query2/<CC> (the redirector
+/// picks a live replica), then read the dump back from /result/<md5 of the
+/// request> on the worker that accepted it. Dispatch fans out over a thread
+/// pool; per-chunk results carry the worker id and the paper-scale work
+/// observables used by the virtual-time simulation.
 ///
 /// Failure handling (the czar "manages transient errors", §5.2):
 /// - transient failures retry with exponential backoff + decorrelated
@@ -106,7 +107,7 @@ class Dispatcher {
   /// failed chunk with its attempt count, and sibling chunk queries still
   /// queued when the first failure lands are cancelled, not executed.
   ///
-  /// When \p trace is set, its id is stamped into each payload (so workers
+  /// When \p trace is set, its id is stamped into each request (so workers
   /// attach their spans to the same trace) and per-chunk dispatcher/xrd
   /// spans are recorded. When \p completed is set it is incremented as each
   /// chunk query finishes (live progress for SHOW PROCESSLIST).

@@ -18,7 +18,9 @@ namespace qserv::core {
 ///  rrows=...\n"
 std::string encodeObservables(const simio::WorkObservables& w);
 
-/// Parse the observables comment from a dump; nullopt when absent.
+/// Parse the observables comment from a dump; nullopt when absent or
+/// malformed. Every field must be present, in order, as an unsigned decimal
+/// (no sign, nan or inf) that fits its type, and the line must end in '\n'.
 std::optional<simio::WorkObservables> decodeObservables(std::string_view dump);
 
 }  // namespace qserv::core

@@ -245,11 +245,6 @@ std::string ChunkTemplate::render(
   return out;
 }
 
-std::string chunkQueryText(const ChunkQuerySpec& spec) {
-  if (!spec.text.empty() || !spec.chunkTemplate) return spec.text;
-  return spec.chunkTemplate->render(spec.chunkId, spec.subChunkIds);
-}
-
 Result<RewriteResult> QueryRewriter::rewrite(
     const AnalyzedQuery& analyzed, std::span<const std::int32_t> chunks,
     const std::string& mergeTableName) const {

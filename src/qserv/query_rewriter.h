@@ -14,15 +14,17 @@
 ///    is applied per chunk and re-applied over the merge table.
 ///  - Near-neighbor self-joins: one statement per subchunk, joining the
 ///    subchunk table Object_CC_SS against the on-the-fly overlap table
-///    ObjectFullOverlap_CC_SS, with the required subchunk list declared in
-///    the `-- SUBCHUNKS:` header (§5.4 chunk query representation).
+///    ObjectFullOverlap_CC_SS, with the required subchunk list carried in
+///    each chunk's entry (the `-- SUBCHUNKS:` line of the §5.4 text).
 ///  - ORDER BY / LIMIT move to the merge query (chunks also apply top-k
 ///    when a LIMIT is present).
 ///
 /// The chunk-side SELECT is built once per user query as a ChunkTemplate:
-/// the statement plus a binding rule per FROM position. Per-chunk text is
-/// spliced from the template's pre-rendered pieces only when a transport
-/// needs it; batched dispatch ships the template once per worker instead.
+/// the statement plus a binding rule per FROM position. Dispatch ships the
+/// template itself (once per worker batch, or with one chunk id on /query2;
+/// see batch_codec.h). Per-chunk text is spliced from the template's
+/// pre-rendered pieces only for readers of the §5.4 text: EXPLAIN and
+/// replay.
 #pragma once
 
 #include <memory>
@@ -35,7 +37,7 @@
 namespace qserv::core {
 
 /// How one FROM position of a chunk template binds to a physical table.
-/// The character is the position's wire form in a batch request.
+/// The character is the position's wire form in a chunk request.
 enum class TableBinding : char {
   kKeep = '-',         ///< unpartitioned table: the name is kept
   kChunk = 'c',        ///< <base>_<chunkId>
@@ -57,9 +59,9 @@ util::Result<std::vector<sql::Statement>> bindChunkStatements(
     std::int32_t chunkId, std::span<const std::int32_t> subChunkIds);
 
 /// One user query's chunk-side SELECT with base table names in its FROM
-/// list, one binding per position, and the `-- QSERV-AGG` flag. Renders
-/// each chunk's payload text by splicing table names into text rendered
-/// once, byte-identical to rendering a bound copy of the statement.
+/// list, one binding per position, and the aggregate flag. Renders each
+/// chunk's §5.4 text by splicing table names into text rendered once,
+/// byte-identical to rendering a bound copy of the statement.
 class ChunkTemplate {
  public:
   /// \p bindings holds one entry per FROM position of \p stmt.
@@ -74,9 +76,10 @@ class ChunkTemplate {
   /// Near-neighbor templates run one statement per subchunk.
   bool bindsSubChunks() const;
 
-  /// The per-chunk payload text written to /query2/<chunkId>: header lines
+  /// The chunk query as the paper's §5.4 text: header lines
   /// (`-- SUBCHUNKS:`, `-- QSERV-AGG`) then one statement per subchunk, or
-  /// one statement.
+  /// one statement. Its statements are the ones bindChunkStatements()
+  /// builds; no transport sends this text.
   std::string render(std::int32_t chunkId,
                      std::span<const std::int32_t> subChunkIds) const;
 
@@ -92,19 +95,16 @@ class ChunkTemplate {
 struct ChunkQuerySpec {
   std::int32_t chunkId = 0;
   std::vector<std::int32_t> subChunkIds;  ///< non-empty for near-neighbor
-  /// Payload written to /query2/CC; empty when rendered on demand from
-  /// chunkTemplate.
-  std::string text;
-  /// Scheduler class the dispatcher ships in the `-- QSERV-CLASS` header
-  /// (set by the czar from deriveQueryClass; scan is the safe default).
-  QueryClass queryClass = QueryClass::kScan;
-  /// The query's shared template; batched dispatch ships it once per worker.
-  /// Null for hand-built specs, which always dispatch per chunk.
+  /// The query's shared template, which every chunk request carries (once
+  /// per worker batch, or per /query2 write). Required.
   std::shared_ptr<const ChunkTemplate> chunkTemplate = nullptr;
+  /// Scheduler class the dispatcher ships in the chunk request (set by the
+  /// czar from deriveQueryClass; scan is the safe default).
+  QueryClass queryClass = QueryClass::kScan;
+  /// The template rendered for this chunk (QueryRewriter::rewrite() fills
+  /// it for EXPLAIN and replay); empty otherwise, and never sent.
+  std::string text;
 };
-
-/// \p spec's payload text: its text, or else the template's rendering.
-std::string chunkQueryText(const ChunkQuerySpec& spec);
 
 struct MergePlan {
   bool hasAggregation = false;
@@ -124,7 +124,7 @@ class QueryRewriter {
 
   /// Rewrite \p analyzed for execution over \p chunks, merging into
   /// \p mergeTableName on the frontend. Every spec shares one template and
-  /// carries no text.
+  /// carries no text; this is what dispatch needs.
   util::Result<RewriteResult> rewriteTemplate(
       const AnalyzedQuery& analyzed, std::span<const std::int32_t> chunks,
       const std::string& mergeTableName) const;

@@ -8,9 +8,9 @@
 /// wpublish::QueriesAndChunks):
 ///
 ///  - every task arrives tagged with a query class (the czar derives it
-///    from analysis coverage and ships it in a `-- QSERV-CLASS` payload
-///    header): `interactive` for point/secondary-index lookups, `scan` for
-///    multi-chunk table scans;
+///    from analysis coverage and ships it in the chunk request; see
+///    batch_codec.h): `interactive` for point/secondary-index lookups,
+///    `scan` for multi-chunk table scans;
 ///  - interactive tasks live in a priority lane and claim executor slots
 ///    ahead of any queued scan — they never wait behind a scan group;
 ///  - scan tasks on the same chunk ride one physical pass: a claim gathers
@@ -32,7 +32,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +41,7 @@
 namespace qserv::core {
 
 struct BatchStream;
+struct ParsedTemplate;
 
 enum class SchedulerMode {
   kFifo,        ///< paper behaviour: first-in-first-out, no cost concept
@@ -49,7 +49,7 @@ enum class SchedulerMode {
 };
 
 /// Query cost class, derived by the czar from analysis coverage and carried
-/// to workers in the `-- QSERV-CLASS:` payload header.
+/// to workers in the chunk request's `-- QSERV-CLASS:` line.
 enum class QueryClass {
   kInteractive,  ///< point / secondary-index lookup — low-volume lane
   kScan,         ///< multi-chunk table scan — shared-scan lane
@@ -57,32 +57,24 @@ enum class QueryClass {
 
 const char* queryClassName(QueryClass cls);
 
-/// The payload header line the dispatcher prepends: "-- QSERV-CLASS: scan\n".
-std::string classHeaderLine(QueryClass cls);
-
-/// Parse the `-- QSERV-CLASS:` header from \p payload's leading comment
-/// lines; nullopt when absent (callers default to kScan — the conservative
-/// class for a header-less payload).
-std::optional<QueryClass> parseClassHeader(const std::string& payload);
-
 /// One queued chunk query, as the worker sees it.
 struct ScanTask {
   std::int32_t chunkId = 0;
-  std::string payload;  ///< /query2 chunk query text; empty for batch tasks
-  /// Names the result: the payload's MD5 (its /result/<md5> path), or
-  /// batchTaskId(batchId, chunkId) for a batch task.
+  /// Names the result: the request's MD5 (its /result/<md5> path) on
+  /// /query2, or batchTaskId(batchId, chunkId) for a batch task.
   std::string resultId;
-  /// Subchunks whose tables the task builds (-- SUBCHUNKS, or the batch's
-  /// chunk entry).
+  /// Subchunks whose tables the task builds (from its chunk entry).
   std::vector<std::int32_t> subChunkIds;
-  bool aggregate = false;  ///< -- QSERV-AGG: the result is a partial aggregate
-  std::uint64_t traceId = 0;    ///< from the -- QSERV-TRACE header; 0 = none
+  bool aggregate = false;  ///< the result is a partial aggregate
+  std::uint64_t traceId = 0;    ///< the request's trace id; 0 = none
   std::uint64_t queryId = 0;    ///< rate-tier key (the trace id today)
   std::int64_t enqueuedUs = 0;  ///< trace-clock time of arrival
   QueryClass cls = QueryClass::kScan;
   /// Paper-scale bytes this task's chunk tables occupy (scan class only);
   /// charged against the memory budget once per chunk pass.
   double memoryBytes = 0.0;
+  /// The request's template, parsed once and shared by its tasks.
+  std::shared_ptr<const ParsedTemplate> chunkTemplate;
   std::shared_ptr<BatchStream> batch;  ///< null on per-chunk dispatch
 };
 
@@ -115,8 +107,8 @@ class ScanScheduler {
 
   /// False when shutting down (the caller answers "unavailable").
   bool enqueue(ScanTask task);
-  /// Atomically enqueue all-or-none (batch arrival); returns false when
-  /// shutting down.
+  /// Atomically enqueue all-or-none (one chunk request's tasks); returns
+  /// false when shutting down.
   bool enqueueAll(std::vector<ScanTask> tasks);
 
   /// Block until a task (group) is claimable; empty claim = shut down and

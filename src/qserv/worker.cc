@@ -160,7 +160,7 @@ void Worker::removeExport(std::int32_t chunkId) {
 
 Status Worker::writeFile(const std::string& path, std::string payload) {
   if (auto batchId = xrd::parseBatchPath(path)) {
-    return enqueueBatch(*batchId, std::move(payload));
+    return enqueueRequest(*batchId, payload, std::nullopt);
   }
   if (auto batchId = xrd::parseBatchCancelPath(path)) {
     abandonBatch(*batchId);
@@ -179,40 +179,7 @@ Status Worker::writeFile(const std::string& path, std::string payload) {
         "/chunkdrop writes: " +
         path);
   }
-  if (!exportsChunk(*chunkId)) {
-    return Status::notFound(util::format("worker %s does not export chunk %d",
-                                         id_.c_str(), *chunkId));
-  }
-  ScanTask task = makeTask(*chunkId, std::move(payload), util::Trace::nowUs());
-  auto& metrics = WorkerMetrics::instance();
-  // Count the task before a slot can claim it: its share is released when
-  // its result is published, which may happen before enqueue() returns.
-  metrics.queueDepth.add(1);
-  if (!sched_.enqueue(std::move(task))) {
-    metrics.queueDepth.add(-1);
-    return Status::unavailable("worker " + id_ + " is shutting down");
-  }
-  queueDepthGauge_.set(static_cast<std::int64_t>(sched_.depth()));
-  metrics.tasksEnqueued.add();
-  return Status::ok();
-}
-
-ScanTask Worker::makeTask(std::int32_t chunkId, std::string payload,
-                          std::int64_t enqueuedUs) const {
-  ScanTask task;
-  task.chunkId = chunkId;
-  task.resultId = util::Md5::hex(payload);
-  if (auto traceId = util::parseTraceHeader(payload)) task.traceId = *traceId;
-  task.queryId = task.traceId;
-  task.enqueuedUs = enqueuedUs;
-  // Header-less payloads (raw test traffic) default to scan class — the
-  // conservative choice, and the one that preserves same-chunk grouping.
-  task.cls = parseClassHeader(payload).value_or(QueryClass::kScan);
-  task.memoryBytes = memoryChargeFor(task.cls, chunkId);
-  task.subChunkIds = parseSubchunksHeader(payload);
-  task.aggregate = isAggregateQuery(payload);
-  task.payload = std::move(payload);
-  return task;
+  return enqueueRequest(util::Md5::hex(payload), payload, *chunkId);
 }
 
 double Worker::memoryChargeFor(QueryClass cls, std::int32_t chunkId) const {
@@ -237,47 +204,65 @@ double Worker::chunkMemoryBytes(std::int32_t chunkId) const {
   return bytes;
 }
 
-Status Worker::enqueueBatch(const std::string& batchId, std::string payload) {
+Status Worker::enqueueRequest(const std::string& requestId,
+                              const std::string& payload,
+                              std::optional<std::int32_t> queryChunk) {
   auto request = decodeBatchRequest(payload);
   if (!request.isOk()) return request.status();
+  if (request->chunks.empty()) {
+    return Status::invalidArgument("chunk request holds no chunks");
+  }
+  if (queryChunk && (request->chunks.size() != 1 ||
+                     request->chunks.front().chunkId != *queryChunk)) {
+    return Status::invalidArgument(util::format(
+        "a /query2/%d request must hold exactly chunk %d (it holds %zu "
+        "chunks, the first %d)",
+        *queryChunk, *queryChunk, request->chunks.size(),
+        request->chunks.front().chunkId));
+  }
   for (const BatchChunk& chunk : request->chunks) {
     if (!exportsChunk(chunk.chunkId)) {
-      // Reject the whole batch: the master's placement was stale, and the
-      // per-chunk fallback path re-locates each chunk individually.
+      // A batch is rejected whole: the master's placement was stale, and
+      // the per-chunk fallback path re-locates each chunk individually.
       return Status::notFound(util::format(
-          "worker %s does not export chunk %d (batch %s)", id_.c_str(),
-          chunk.chunkId, batchId.c_str()));
+          "worker %s does not export chunk %d (request %.8s)", id_.c_str(),
+          chunk.chunkId, requestId.c_str()));
     }
   }
-  // Parse the template once for the whole batch. A template that does not
-  // parse, or whose FROM list does not match its bindings, rejects the
-  // batch; its chunks then fall back to per-chunk dispatch.
+  // Parse the template once for the whole request. A template that is not
+  // one SELECT, or whose FROM list does not match its bindings, rejects the
+  // request before anything runs; a rejected batch's chunks fall back to
+  // per-chunk dispatch.
   auto parsed = sql::parseSelect(request->templateSql);
   if (!parsed.isOk()) {
     return Status::invalidArgument(util::format(
-        "batch %s: bad chunk template: %s", batchId.c_str(),
+        "request %.8s: bad chunk template: %s", requestId.c_str(),
         parsed.status().message().c_str()));
   }
   if (parsed->from.size() != request->bindings.size()) {
     return Status::invalidArgument(util::format(
-        "batch %s: %zu table bindings for %zu FROM tables", batchId.c_str(),
-        request->bindings.size(), parsed->from.size()));
+        "request %.8s: %zu table bindings for %zu FROM tables",
+        requestId.c_str(), request->bindings.size(), parsed->from.size()));
   }
-  auto stream = std::make_shared<BatchStream>();
-  stream->id = batchId;
-  stream->streamPath = xrd::makeBatchStreamPath(batchId);
-  stream->window = request->streamWindow;
-  stream->chunkTemplate = std::move(parsed).value();
-  stream->bindings = std::move(request->bindings);
-  stream->remaining.store(static_cast<int>(request->chunks.size()),
-                          std::memory_order_release);
+  auto chunkTemplate = std::make_shared<const ParsedTemplate>(ParsedTemplate{
+      std::move(parsed).value(), std::move(request->bindings)});
+  std::shared_ptr<BatchStream> stream;
+  if (!queryChunk) {
+    stream = std::make_shared<BatchStream>();
+    stream->id = requestId;
+    stream->streamPath = xrd::makeBatchStreamPath(requestId);
+    stream->window = request->streamWindow;
+    stream->remaining.store(static_cast<int>(request->chunks.size()),
+                            std::memory_order_release);
+  }
   std::int64_t nowUs = util::Trace::nowUs();
   std::vector<ScanTask> tasks;
   tasks.reserve(request->chunks.size());
   for (BatchChunk& chunk : request->chunks) {
     ScanTask task;
     task.chunkId = chunk.chunkId;
-    task.resultId = batchTaskId(batchId, chunk.chunkId);
+    task.resultId =
+        stream ? batchTaskId(requestId, chunk.chunkId) : requestId;
     task.traceId = request->traceId;
     task.queryId = task.traceId;
     task.enqueuedUs = nowUs;
@@ -285,25 +270,31 @@ Status Worker::enqueueBatch(const std::string& batchId, std::string payload) {
     task.memoryBytes = memoryChargeFor(task.cls, chunk.chunkId);
     task.subChunkIds = std::move(chunk.subChunkIds);
     task.aggregate = request->aggregate;
+    task.chunkTemplate = chunkTemplate;
     task.batch = stream;
     tasks.push_back(std::move(task));
   }
   const std::size_t count = tasks.size();
   auto& metrics = WorkerMetrics::instance();
-  {
+  if (stream) {
     std::lock_guard lock(batchMutex_);
-    batches_[batchId] = stream;
+    batches_[requestId] = stream;
   }
+  // Count the tasks before a slot can claim them: each task's share is
+  // released when its result is published, which may happen before
+  // enqueueAll() returns.
   metrics.queueDepth.add(static_cast<std::int64_t>(count));
   if (!sched_.enqueueAll(std::move(tasks))) {
     metrics.queueDepth.add(-static_cast<std::int64_t>(count));
-    std::lock_guard lock(batchMutex_);
-    batches_.erase(batchId);
+    if (stream) {
+      std::lock_guard lock(batchMutex_);
+      batches_.erase(requestId);
+    }
     return Status::unavailable("worker " + id_ + " is shutting down");
   }
   queueDepthGauge_.set(static_cast<std::int64_t>(sched_.depth()));
   metrics.tasksEnqueued.add(count);
-  metrics.batchesReceived.add();
+  if (stream) metrics.batchesReceived.add();
   return Status::ok();
 }
 
@@ -567,38 +558,6 @@ void Worker::publishTask(const ScanTask& task, TaskOutput out) {
   }
 }
 
-std::vector<std::int32_t> Worker::parseSubchunksHeader(
-    const std::string& payload) {
-  std::vector<std::int32_t> out;
-  constexpr std::string_view kHeader = "-- SUBCHUNKS:";
-  // The header block is the run of leading `--` comment lines; other
-  // headers (e.g. -- QSERV-TRACE) may precede the SUBCHUNKS line.
-  std::size_t pos = 0;
-  while (pos + 2 <= payload.size() && payload[pos] == '-' &&
-         payload[pos + 1] == '-') {
-    std::size_t eol = payload.find('\n', pos);
-    std::size_t len =
-        eol == std::string::npos ? payload.size() - pos : eol - pos;
-    std::string_view line(payload.data() + pos, len);
-    if (util::startsWith(line, kHeader)) {
-      for (const auto& part : util::split(line.substr(kHeader.size()), ',')) {
-        auto token = util::trim(part);
-        if (token.empty()) continue;
-        out.push_back(
-            static_cast<std::int32_t>(std::stol(std::string(token))));
-      }
-      return out;
-    }
-    if (eol == std::string::npos) break;
-    pos = eol + 1;
-  }
-  return out;
-}
-
-bool Worker::isAggregateQuery(const std::string& payload) {
-  return payload.find("-- QSERV-AGG\n") != std::string::npos;
-}
-
 double Worker::rowBytesFor(const std::string& tableName) const {
   for (const auto& t : catalog_.tables) {
     if (tableName == t.name || util::startsWith(tableName, t.name + "_") ||
@@ -743,13 +702,10 @@ Worker::TaskOutput Worker::executeTask(const ScanTask& task,
     return std::move(out);
   };
 
-  // A batch task binds its chunk onto the batch's parsed template; a
-  // /query2 task parses its payload. Both run the same statements.
-  auto stmts = task.batch
-                   ? bindChunkStatements(task.batch->chunkTemplate,
-                                         task.batch->bindings, task.chunkId,
-                                         subChunks)
-                   : sql::parseScript(task.payload);
+  // Bind the request's parsed template to this task's chunk tables.
+  auto stmts = bindChunkStatements(task.chunkTemplate->stmt,
+                                   task.chunkTemplate->bindings, task.chunkId,
+                                   subChunks);
   if (!stmts.isOk()) return fail(stmts.status());
 
   util::Result<sql::ExecStats> buildStats = sql::ExecStats{};

@@ -2,23 +2,25 @@
 /// \brief A Qserv worker node (paper §5.1.2, §5.4).
 ///
 /// A worker is an Xrootd data server with Qserv's ofs plugin: chunk queries
-/// arrive as writes to /query2/<CC> (or, batched, as one query template plus
-/// chunk ids written to /batch/<id>), execute on the worker's local SQL
-/// database against its chunk tables, and results are published as dumps at
-/// /result/<md5 of the chunk query> (or as frames on /bstream/<id>). A fixed
-/// number of executor slots (the paper's clusters ran 4) drain a
-/// ScanScheduler: in kFifo mode that is the paper's plain queue ("do not
-/// implement any concept of query cost", §6.4);
+/// arrive as chunk requests (one query template plus chunk ids; see
+/// batch_codec.h) written to /query2/<CC> with exactly that one chunk, or
+/// batched to /batch/<id>. Both are admitted by one decoder, and each
+/// request's template is parsed once and bound to each chunk's tables. They
+/// execute on the worker's local SQL database, and results are published
+/// as dumps at /result/<md5 of the request> (or as frames on
+/// /bstream/<id>). A fixed number of executor slots (the paper's clusters
+/// ran 4) drain a ScanScheduler: in kFifo mode that is the paper's plain
+/// queue ("do not implement any concept of query cost", §6.4);
 /// in kSharedScan mode (§4.3) interactive tasks ride a priority lane ahead
 /// of scans, same-chunk scans share one physical pass (including arrivals
 /// that join a pass already in flight), and scan claims reserve chunk-table
 /// bytes against a memory budget. See scan_scheduler.h.
 ///
 /// Subchunk tables (Object_CC_SS) and their overlap companions
-/// (ObjectFullOverlap_CC_SS) are built on the fly when a chunk query's
-/// `-- SUBCHUNKS:` header (or batch chunk entry) demands them, refcounted
-/// across concurrent tasks, and dropped when the last user finishes (the
-/// paper notes caching is possible but not implemented).
+/// (ObjectFullOverlap_CC_SS) are built on the fly when a chunk entry's
+/// subchunk list demands them, refcounted across concurrent tasks, and
+/// dropped when the last user finishes (the paper notes caching is possible
+/// but not implemented).
 #pragma once
 
 #include <atomic>
@@ -26,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -48,16 +51,21 @@ enum class TransferFormat {
   kBinary,
 };
 
-/// Shared state of one batched dispatch (/batch/<id>): its chunk tasks bind
-/// the batch's once-parsed template to their chunk and stream result frames
-/// over one /bstream/<id> path, bounded by a window of unread frames, until
-/// the master abandons the batch or the last chunk finishes.
+/// A chunk request's template, parsed once when the request is admitted and
+/// checked against its bindings; read-only after, shared by its tasks.
+struct ParsedTemplate {
+  sql::SelectStmt stmt;
+  std::vector<TableBinding> bindings;  ///< one per template FROM position
+};
+
+/// Shared state of one batched dispatch (/batch/<id>): its chunk tasks
+/// stream result frames over one /bstream/<id> path, bounded by a window of
+/// unread frames, until the master abandons the batch or the last chunk
+/// finishes.
 struct BatchStream {
   std::string id;          ///< batchId (md5 of the request payload)
   std::string streamPath;  ///< /bstream/<batchId>
   int window = 0;          ///< max unread frames (0 = unbounded)
-  sql::SelectStmt chunkTemplate;       ///< parsed once, read-only after
-  std::vector<TableBinding> bindings;  ///< one per template FROM position
   std::atomic<bool> abandoned{false};
   std::atomic<int> remaining{0};  ///< chunks not yet finished/skipped
 };
@@ -149,8 +157,9 @@ class Worker : public xrd::OfsPlugin {
   /// that returns on reading it sees an idle worker.
   void runClaimedTask(const ScanTask& task, std::int64_t claimedUs,
                       bool& ioCharged, double& maxWaitSec);
-  /// Execute a chunk query: bind or parse its statements, build subchunks,
-  /// run, encode the result with its observables and integrity trailer.
+  /// Execute a chunk query: bind its template to its chunk, build
+  /// subchunks, run, encode the result with its observables and integrity
+  /// trailer.
   TaskOutput executeTask(const ScanTask& task, bool chargeScanIo);
   /// Publish \p out as the task's result or batch frame.
   void publishTask(const ScanTask& task, TaskOutput out);
@@ -159,8 +168,15 @@ class Worker : public xrd::OfsPlugin {
   /// scan scheduler's memory-budget charge for one chunk pass.
   double chunkMemoryBytes(std::int32_t chunkId) const;
 
-  /// Decode a /batch write and enqueue one ScanTask per chunk.
-  util::Status enqueueBatch(const std::string& batchId, std::string payload);
+  /// Admit a chunk request written to /query2 or /batch: decode it, check
+  /// its chunks are exported, parse its template once and check it against
+  /// its bindings, then enqueue one ScanTask per chunk. A /query2 request
+  /// (\p queryChunk set) must hold exactly that one chunk, and its result
+  /// is named \p requestId (the request's MD5); a batch's tasks stream
+  /// frames on /bstream/<requestId>.
+  util::Status enqueueRequest(const std::string& requestId,
+                              const std::string& payload,
+                              std::optional<std::int32_t> queryChunk);
   /// Mark a batch abandoned (/bcancel write): queued tasks are skipped and
   /// unread frames dropped.
   void abandonBatch(const std::string& batchId);
@@ -185,20 +201,6 @@ class Worker : public xrd::OfsPlugin {
   void addExport(std::int32_t chunkId);
   void removeExport(std::int32_t chunkId);
 
-  /// Parse the `-- SUBCHUNKS:` header from the payload's leading comment
-  /// lines; empty when absent.
-  static std::vector<std::int32_t> parseSubchunksHeader(
-      const std::string& payload);
-
-  /// True when the chunk query carries the `-- QSERV-AGG` marker: its
-  /// result is a scale-independent partial aggregate.
-  static bool isAggregateQuery(const std::string& payload);
-
-  /// Build a ScanTask from an arriving /query2 payload: hash, trace id,
-  /// query class (`-- QSERV-CLASS` header; header-less payloads default to
-  /// scan class), subchunks, aggregate flag and the scan memory charge.
-  ScanTask makeTask(std::int32_t chunkId, std::string payload,
-                    std::int64_t enqueuedUs) const;
   /// The shared-scan memory charge of a task of class \p cls on \p chunkId.
   double memoryChargeFor(QueryClass cls, std::int32_t chunkId) const;
 

@@ -1,9 +1,9 @@
 /// \file lexer.h
 /// \brief SQL tokenizer for the embedded engine and the Qserv frontend.
 ///
-/// Comments (`-- ...` and `/* ... */`) are skipped; the worker extracts the
-/// `-- SUBCHUNKS:` protocol header from raw text before parsing, so the
-/// lexer never sees it.
+/// Comments (`-- ...` and `/* ... */`) are skipped, so the `-- SUBCHUNKS:`
+/// and `-- QSERV-AGG` lines of a rendered chunk query (§5.4 text, read by
+/// EXPLAIN and replay) are invisible to the parser.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -125,42 +124,6 @@ void TraceRegistry::release(std::uint64_t id) {
 std::size_t TraceRegistry::size() const {
   std::lock_guard lock(mutex_);
   return traces_.size();
-}
-
-std::string traceHeaderLine(std::uint64_t traceId) {
-  return format("-- QSERV-TRACE: %llu\n",
-                static_cast<unsigned long long>(traceId));
-}
-
-std::optional<std::uint64_t> parseTraceHeader(const std::string& payload) {
-  constexpr std::string_view kPrefix = "-- QSERV-TRACE: ";
-  // Scan only the leading comment lines (the header block).
-  std::size_t pos = 0;
-  while (pos + 2 <= payload.size() && payload[pos] == '-' &&
-         payload[pos + 1] == '-') {
-    std::size_t eol = payload.find('\n', pos);
-    std::size_t len = eol == std::string::npos ? payload.size() - pos
-                                               : eol - pos;
-    std::string_view line(payload.data() + pos, len);
-    if (startsWith(line, kPrefix)) {
-      auto digits = trim(line.substr(kPrefix.size()));
-      if (!digits.empty()) {
-        std::uint64_t id = 0;
-        for (char c : digits) {
-          if (c < '0' || c > '9') return std::nullopt;
-          auto digit = static_cast<std::uint64_t>(c - '0');
-          // Reject ids that overflow uint64 instead of silently wrapping.
-          constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
-          if (id > kMax / 10 || id * 10 > kMax - digit) return std::nullopt;
-          id = id * 10 + digit;
-        }
-        return id;
-      }
-    }
-    if (eol == std::string::npos) break;
-    pos = eol + 1;
-  }
-  return std::nullopt;
 }
 
 }  // namespace qserv::util

@@ -4,11 +4,11 @@
 ///
 /// A Trace collects timed spans from every component a query touches. The
 /// czar creates one per user query and registers it in the process-wide
-/// TraceRegistry under a fresh trace id; the dispatcher stamps that id into
-/// each chunk-query payload as a leading SQL comment (`-- QSERV-TRACE: <id>`)
-/// so workers — which receive only the payload through the xrd fabric, just
-/// like a remote node would receive a request header — can look the trace up
-/// and attach their queue-wait/execute spans. All spans share one process
+/// TraceRegistry under a fresh trace id; the dispatcher writes that id into
+/// each chunk request (a `-- QSERV-TRACE: <id>` line; see
+/// qserv/batch_codec.h) so workers — which receive only the request through
+/// the xrd fabric, just like a remote node — can look the trace up and
+/// attach their queue-wait/execute spans. All spans share one process
 /// clock (microseconds since first use), so a finished trace renders as a
 /// single aligned timeline: toChromeJson() emits Chrome trace_event
 /// format that opens directly in chrome://tracing or https://ui.perfetto.dev.
@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -94,7 +93,7 @@ class ScopedSpan {
 };
 
 /// Process-wide id -> in-flight trace map. Components that receive a trace
-/// id out-of-band (workers, via the payload header) use it to find the
+/// id out-of-band (workers, via the chunk request) use it to find the
 /// query's trace; ids of finished queries are released by the czar, after
 /// which worker spans for them are silently dropped (the query is gone).
 class TraceRegistry {
@@ -115,11 +114,5 @@ class TraceRegistry {
   std::unordered_map<std::uint64_t, TracePtr> traces_;
   std::uint64_t nextId_ = 1;
 };
-
-/// "-- QSERV-TRACE: <id>\n" — the payload header carrying the trace id.
-std::string traceHeaderLine(std::uint64_t traceId);
-
-/// Trace id from a payload's leading comment lines, if present.
-std::optional<std::uint64_t> parseTraceHeader(const std::string& payload);
 
 }  // namespace qserv::util

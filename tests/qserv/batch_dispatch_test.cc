@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,6 +86,96 @@ TEST(BatchCodec, RequestRejectsDamage) {
         badBinding, longTemplate}) {
     auto r = decodeBatchRequest(bad);
     ASSERT_FALSE(r.isOk()) << bad;
+    EXPECT_EQ(r.status().code(), util::ErrorCode::kInvalidArgument)
+        << r.status().toString();
+  }
+}
+
+/// \p wire with its \p line (which must be present) replaced by \p with.
+std::string replaceLine(const std::string& wire, const std::string& line,
+                        const std::string& with) {
+  std::string out = wire;
+  std::size_t at = out.find(line);
+  EXPECT_NE(at, std::string::npos) << line;
+  if (at != std::string::npos) out.replace(at, line.size(), with);
+  return out;
+}
+
+TEST(BatchCodec, TraceIdSpansTheFullUint64Range) {
+  BatchRequest request = sampleRequest();
+  for (std::uint64_t id : {std::uint64_t{1}, std::uint64_t{123456789},
+                           std::numeric_limits<std::uint64_t>::max()}) {
+    request.traceId = id;
+    auto decoded = decodeBatchRequest(encodeBatchRequest(request));
+    ASSERT_TRUE(decoded.isOk()) << decoded.status().toString();
+    EXPECT_EQ(decoded->traceId, id);
+  }
+}
+
+/// The sample request, traced as id 7, with its trace id text replaced by
+/// \p id.
+std::string withTraceIdText(const std::string& id) {
+  BatchRequest request = sampleRequest();
+  request.traceId = 7;
+  return replaceLine(encodeBatchRequest(request), "-- QSERV-TRACE: 7\n",
+                     "-- QSERV-TRACE: " + id + "\n");
+}
+
+void expectRejected(const std::string& wire) {
+  auto r = decodeBatchRequest(wire);
+  ASSERT_FALSE(r.isOk()) << wire;
+  EXPECT_EQ(r.status().code(), util::ErrorCode::kInvalidArgument)
+      << r.status().toString();
+}
+
+// The trace header of a chunk request: the line that carries a query's
+// trace id to the worker.
+
+TEST(Trace, HeaderParsingRejectsGarbageAndOverflow) {
+  // Mixed digits and letters, a sign or a second number reject the request.
+  for (const char* id : {"12x4", "-7", "1 2"}) expectRejected(withTraceIdText(id));
+
+  // uint64 max parses; one more (and anything longer) must not wrap around
+  // to a small id that would attach spans to an unrelated query.
+  auto max = decodeBatchRequest(withTraceIdText("18446744073709551615"));
+  ASSERT_TRUE(max.isOk()) << max.status().toString();
+  EXPECT_EQ(max->traceId, std::numeric_limits<std::uint64_t>::max());
+  expectRejected(withTraceIdText("18446744073709551616"));
+  expectRejected(withTraceIdText("99999999999999999999"));
+}
+
+TEST(Trace, HeaderParsingRejectsNonHeaders) {
+  // An empty id and the reserved untraced id 0 are not trace headers.
+  expectRejected(withTraceIdText(""));
+  expectRejected(withTraceIdText("0"));
+
+  // A trace marker inside the template SQL (e.g. a string literal) is not a
+  // header: an untraced request stays untraced.
+  BatchRequest request = sampleRequest();
+  request.traceId = 0;
+  request.templateSql = "SELECT '\n-- QSERV-TRACE: 7\n' FROM Object";
+  auto decoded = decodeBatchRequest(encodeBatchRequest(request));
+  ASSERT_TRUE(decoded.isOk()) << decoded.status().toString();
+  EXPECT_EQ(decoded->traceId, 0u);
+  EXPECT_EQ(decoded->templateSql, request.templateSql);
+}
+
+TEST(BatchCodec, RejectsDuplicateTraceLine) {
+  // Request lines have one fixed order, so a second trace line is a framing
+  // violation rather than an id to pick from.
+  expectRejected(withTraceIdText("11\n-- QSERV-TRACE: 22"));
+}
+
+TEST(BatchCodec, RejectsUnknownQueryClass) {
+  const std::string wire = encodeBatchRequest(sampleRequest());
+  const std::string line = "-- QSERV-CLASS: interactive\n";
+  for (const std::string& with :
+       {std::string("-- QSERV-CLASS: warp\n"),
+        std::string("-- QSERV-CLASS: Scan\n"),
+        std::string("-- QSERV-CLASS: scan \n"),
+        std::string("-- QSERV-CLASS: \n"), std::string()}) {
+    auto r = decodeBatchRequest(replaceLine(wire, line, with));
+    ASSERT_FALSE(r.isOk()) << with;
     EXPECT_EQ(r.status().code(), util::ErrorCode::kInvalidArgument)
         << r.status().toString();
   }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <thread>
 
 #include "datagen/schemas.h"
 #include "util/strings.h"
@@ -109,82 +108,6 @@ TEST(MiniCluster, BinaryTransferAggregates) {
     total += static_cast<std::int64_t>(chunk.objects->numRows());
   }
   EXPECT_EQ(r->result->cell(0, 0).asInt(), total);
-}
-
-TEST(FrontendPool, RoundRobinsQueriesAcrossMasters) {
-  SmallSky sky;
-  ClusterOptions opts;
-  opts.frontend.catalog = sky.catalog;
-  opts.numWorkers = 3;
-  auto cluster = MiniCluster::create(opts, sky.data);
-  ASSERT_TRUE(cluster.isOk());
-
-  FrontendConfig fc;
-  fc.catalog = sky.catalog;
-  FrontendPool pool(fc, (*cluster)->redirector(), (*cluster)->chunkIds(),
-                    /*numFrontends=*/3);
-  ASSERT_TRUE(pool.loadIndex(sky.data.index).isOk());
-  EXPECT_EQ(pool.size(), 3u);
-
-  std::int64_t expect = -1;
-  for (int i = 0; i < 6; ++i) {
-    auto r = pool.query("SELECT COUNT(*) FROM Object");
-    ASSERT_TRUE(r.isOk()) << r.status().toString();
-    std::int64_t count = r->result->cell(0, 0).asInt();
-    if (expect < 0) expect = count;
-    EXPECT_EQ(count, expect);  // every master returns the same answer
-  }
-  auto routed = pool.routedCounts();
-  ASSERT_EQ(routed.size(), 3u);
-  for (auto n : routed) EXPECT_EQ(n, 2u);  // balanced
-}
-
-TEST(FrontendPool, IndexedLookupsWorkThroughEveryMaster) {
-  SmallSky sky;
-  ClusterOptions opts;
-  opts.frontend.catalog = sky.catalog;
-  opts.numWorkers = 2;
-  auto cluster = MiniCluster::create(opts, sky.data);
-  ASSERT_TRUE(cluster.isOk());
-
-  FrontendConfig fc;
-  fc.catalog = sky.catalog;
-  FrontendPool pool(fc, (*cluster)->redirector(), (*cluster)->chunkIds(), 2);
-  ASSERT_TRUE(pool.loadIndex(sky.data.index).isOk());
-
-  std::int64_t id = sky.data.index[sky.data.index.size() / 3].objectId;
-  for (int i = 0; i < 4; ++i) {  // hits both masters
-    auto r = pool.query("SELECT * FROM Object WHERE objectId = " +
-                        std::to_string(id));
-    ASSERT_TRUE(r.isOk());
-    EXPECT_EQ(r->result->numRows(), 1u);
-    EXPECT_EQ(r->chunksDispatched, 1u);
-  }
-}
-
-TEST(FrontendPool, ConcurrentQueriesAcrossMasters) {
-  SmallSky sky;
-  ClusterOptions opts;
-  opts.frontend.catalog = sky.catalog;
-  opts.numWorkers = 3;
-  auto cluster = MiniCluster::create(opts, sky.data);
-  ASSERT_TRUE(cluster.isOk());
-
-  FrontendConfig fc;
-  fc.catalog = sky.catalog;
-  FrontendPool pool(fc, (*cluster)->redirector(), (*cluster)->chunkIds(), 3);
-  ASSERT_TRUE(pool.loadIndex(sky.data.index).isOk());
-
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&] {
-      auto r = pool.query("SELECT COUNT(*) FROM Object WHERE ra_PS > 5");
-      if (!r.isOk()) failures.fetch_add(1);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(MiniCluster, DistributedDistinctMatchesOracle) {

@@ -2,11 +2,13 @@
 
 #include <atomic>
 
+#include "qserv/batch_codec.h"
 #include "qserv/dispatcher.h"
 #include "qserv/dump_integrity.h"
 #include "qserv/merger.h"
 #include "qserv/observables_codec.h"
 #include "sql/dump.h"
+#include "sql/parser.h"
 #include "sql/rowcodec.h"
 #include "util/md5.h"
 #include "xrd/file_store.h"
@@ -135,7 +137,96 @@ TEST(ResultMerger, GarbagePayloadFails) {
   EXPECT_FALSE(merger.mergeDump("this is not a dump").isOk());
 }
 
+// -------------------------------------------------------- observables codec
+
+simio::WorkObservables sampleObservables() {
+  simio::WorkObservables obs;
+  obs.bytesScanned = 2.5e11;
+  obs.rowsExamined = 18446744073709551615ull;  // uint64 max
+  obs.pairsEvaluated = 3;
+  obs.joinMatches = 4;
+  obs.rowsBuilt = 5;
+  obs.indexLookups = 6;
+  obs.resultBytes = 789;
+  obs.resultRows = 10;
+  return obs;
+}
+
+/// A real observables line with field \p key's value replaced by \p value.
+std::string observablesWith(const std::string& key, const std::string& value) {
+  std::string line = encodeObservables(sampleObservables());
+  std::size_t at = line.find(" " + key + "=");
+  EXPECT_NE(at, std::string::npos) << key;
+  at += key.size() + 2;
+  line.replace(at, line.find_first_of(" \n", at) - at, value);
+  return line;
+}
+
+TEST(ObservablesCodec, RoundTripsInsideADump) {
+  std::string dump = sql::dumpTable(*makeRows("a", {1}), "r_a");
+  dump += encodeObservables(sampleObservables());
+  appendDumpChecksum(dump);
+  auto obs = decodeObservables(dump);
+  ASSERT_TRUE(obs.has_value());
+  EXPECT_EQ(obs->bytesScanned, 2.5e11);
+  EXPECT_EQ(obs->rowsExamined, 18446744073709551615ull);
+  EXPECT_EQ(obs->pairsEvaluated, 3u);
+  EXPECT_EQ(obs->joinMatches, 4u);
+  EXPECT_EQ(obs->rowsBuilt, 5u);
+  EXPECT_EQ(obs->indexLookups, 6u);
+  EXPECT_EQ(obs->resultBytes, 789.0);
+  EXPECT_EQ(obs->resultRows, 10u);
+  EXPECT_FALSE(decodeObservables("no trailer here").has_value());
+}
+
+TEST(ObservablesCodec, RejectsNonFiniteValues) {
+  for (const char* key : {"bytes", "rbytes"}) {
+    for (const char* value :
+         {"nan", "inf", "-inf", "NAN", "infinity", "1e999"}) {
+      EXPECT_FALSE(decodeObservables(observablesWith(key, value)).has_value())
+          << key << "=" << value;
+    }
+  }
+}
+
+TEST(ObservablesCodec, RejectsNegativeValues) {
+  for (const char* key : {"bytes", "rbytes"}) {
+    for (const char* value : {"-1", "-0", "-2.5e11"}) {
+      EXPECT_FALSE(decodeObservables(observablesWith(key, value)).has_value())
+          << key << "=" << value;
+    }
+  }
+}
+
+TEST(ObservablesCodec, RejectsSignedOrOverflowingUnsignedFields) {
+  // sscanf's SCNu64 wrapped "-1" to 18446744073709551615; every unsigned
+  // field now takes digits only, within uint64.
+  for (const char* key : {"rows", "pairs", "match", "built", "idx", "rrows"}) {
+    for (const char* value :
+         {"-1", "+1", " 1", "", "1.5", "18446744073709551616", "0x10"}) {
+      EXPECT_FALSE(decodeObservables(observablesWith(key, value)).has_value())
+          << key << "=" << value;
+    }
+  }
+  // The line must be complete: every field, in order, ending in a newline.
+  std::string line = encodeObservables(sampleObservables());
+  EXPECT_FALSE(decodeObservables(line.substr(0, line.size() - 1)).has_value());
+  EXPECT_FALSE(
+      decodeObservables(observablesWith("rows", "1 rows=2")).has_value());
+}
+
 // --------------------------------------------------------------- dispatcher
+
+/// A spec for chunk \p c whose template, "SELECT <c>", reads no table.
+ChunkQuerySpec specFor(std::int32_t c) {
+  auto stmt = sql::parseSelect("SELECT " + std::to_string(c));
+  EXPECT_TRUE(stmt.isOk()) << stmt.status().toString();
+  ChunkQuerySpec spec;
+  spec.chunkId = c;
+  spec.chunkTemplate = std::make_shared<const ChunkTemplate>(
+      *stmt, std::vector<TableBinding>{}, /*aggregate=*/false);
+  return spec;
+}
 
 /// A plugin that fails the first `failures` read attempts per path.
 class FlakyPlugin : public xrd::OfsPlugin {
@@ -183,7 +274,7 @@ TEST(Dispatcher, CollectsAllChunkResults) {
   Dispatcher dispatcher(redirector, 4);
   std::vector<ChunkQuerySpec> specs;
   for (std::int32_t c : {1, 2, 3}) {
-    specs.push_back(ChunkQuerySpec{c, {}, "SELECT " + std::to_string(c)});
+    specs.push_back(specFor(c));
   }
   auto results = dispatcher.run(specs);
   ASSERT_TRUE(results.isOk()) << results.status().toString();
@@ -191,10 +282,13 @@ TEST(Dispatcher, CollectsAllChunkResults) {
   for (const auto& r : *results) {
     EXPECT_EQ(r.workerId, "w0");
     EXPECT_FALSE(r.dump.empty());
-    // The dispatcher hashes the full payload: class header + query text.
-    EXPECT_EQ(r.hash,
-              util::Md5::hex(classHeaderLine(QueryClass::kScan) + "SELECT " +
-                             std::to_string(r.chunkId)));
+    // The dispatcher hashes the whole one-chunk request it wrote: class,
+    // template and chunk entry.
+    BatchRequest request;
+    request.queryClass = QueryClass::kScan;
+    request.templateSql = "SELECT " + std::to_string(r.chunkId);
+    request.chunks.push_back(BatchChunk{r.chunkId, {}});
+    EXPECT_EQ(r.hash, util::Md5::hex(encodeBatchRequest(request)));
   }
 }
 
@@ -204,7 +298,7 @@ TEST(Dispatcher, RetriesTransientFailures) {
                                               /*failures=*/2);
   redirector->registerServer(std::make_shared<xrd::DataServer>("w0", plugin));
   Dispatcher dispatcher(redirector, 1, /*maxAttempts=*/3);
-  auto results = dispatcher.run({ChunkQuerySpec{7, {}, "SELECT 7"}});
+  auto results = dispatcher.run({specFor(7)});
   ASSERT_TRUE(results.isOk()) << results.status().toString();
   EXPECT_EQ(plugin->writes(), 3);  // two injected faults, then success
 }
@@ -215,7 +309,7 @@ TEST(Dispatcher, GivesUpAfterMaxAttempts) {
                                               /*failures=*/100);
   redirector->registerServer(std::make_shared<xrd::DataServer>("w0", plugin));
   Dispatcher dispatcher(redirector, 1, /*maxAttempts=*/2);
-  auto results = dispatcher.run({ChunkQuerySpec{7, {}, "SELECT 7"}});
+  auto results = dispatcher.run({specFor(7)});
   EXPECT_FALSE(results.isOk());
   EXPECT_EQ(results.status().code(), util::ErrorCode::kUnavailable);
 }
@@ -223,7 +317,7 @@ TEST(Dispatcher, GivesUpAfterMaxAttempts) {
 TEST(Dispatcher, UnknownChunkFailsFast) {
   auto redirector = std::make_shared<xrd::Redirector>();
   Dispatcher dispatcher(redirector, 1);
-  auto results = dispatcher.run({ChunkQuerySpec{99, {}, "SELECT 99"}});
+  auto results = dispatcher.run({specFor(99)});
   EXPECT_FALSE(results.isOk());
 }
 
@@ -254,7 +348,7 @@ TEST(Dispatcher, ParsesInBandObservables) {
   redirector->registerServer(
       std::make_shared<xrd::DataServer>("w0", std::make_shared<ObsPlugin>()));
   Dispatcher dispatcher(redirector, 1);
-  auto results = dispatcher.run({ChunkQuerySpec{5, {}, "SELECT 5"}});
+  auto results = dispatcher.run({specFor(5)});
   ASSERT_TRUE(results.isOk());
   EXPECT_DOUBLE_EQ((*results)[0].observables.bytesScanned, 12345.0);
   EXPECT_EQ((*results)[0].observables.rowsExamined, 67u);

@@ -333,8 +333,8 @@ TEST_F(TemplateRenderTest, ChunkTextsMatchTheAstCloneRewrite) {
 }
 
 TEST_F(TemplateRenderTest, BoundTemplateMatchesParsedChunkText) {
-  // What a worker runs for a batch task (the template parsed once, bound to
-  // the chunk) equals what it runs for the same chunk's /query2 payload.
+  // What a worker runs for a chunk (the template parsed once, bound to the
+  // chunk) equals parseScript() of the chunk's rendered §5.4 text.
   for (const char* sql : kTemplateCorpus) {
     RewriteResult r = rewriteCorpusQuery(sql, false);
     ASSERT_FALSE(r.chunkQueries.empty()) << sql;
@@ -344,7 +344,7 @@ TEST_F(TemplateRenderTest, BoundTemplateMatchesParsedChunkText) {
     for (const ChunkQuerySpec& spec : r.chunkQueries) {
       EXPECT_TRUE(spec.text.empty());
       EXPECT_EQ(spec.chunkTemplate.get(), &tmpl);
-      std::string text = chunkQueryText(spec);
+      std::string text = tmpl.render(spec.chunkId, spec.subChunkIds);
       auto fromText = sql::parseScript(text);
       ASSERT_TRUE(fromText.isOk()) << fromText.status().toString();
       auto bound = bindChunkStatements(*parsed, tmpl.bindings(), spec.chunkId,

@@ -13,7 +13,6 @@
 #include "qserv/observables_codec.h"
 #include "sql/rowcodec.h"
 #include "util/md5.h"
-#include "util/strings.h"
 #include "xrd/paths.h"
 
 namespace qserv::core {
@@ -62,11 +61,20 @@ class WorkerTest : public ::testing::Test {
     return request;
   }
 
-  /// Round-trip one chunk query through the ofs interface.
+  /// The /query2 request running \p templateSql (one FROM table, bound to
+  /// the chunk table) on \p chunk alone.
+  static std::string chunkRequest(std::int32_t chunk, std::string templateSql,
+                                  QueryClass cls = QueryClass::kScan) {
+    BatchRequest request = countBatch({chunk}, std::move(templateSql), 0);
+    request.queryClass = cls;
+    return encodeBatchRequest(request);
+  }
+
+  /// Round-trip one chunk request through the ofs interface.
   util::Result<std::string> runQuery(Worker& w, std::int32_t chunk,
-                                     const std::string& text) {
-    QSERV_RETURN_IF_ERROR(w.writeFile(xrd::makeQueryPath(chunk), text));
-    return w.readFile(xrd::makeResultPath(util::Md5::hex(text)));
+                                     const std::string& request) {
+    QSERV_RETURN_IF_ERROR(w.writeFile(xrd::makeQueryPath(chunk), request));
+    return w.readFile(xrd::makeResultPath(util::Md5::hex(request)));
   }
 
   CatalogConfig config_;
@@ -80,8 +88,8 @@ TEST_F(WorkerTest, ExecutesChunkQueryAndPublishesDump) {
   wc.transfer = TransferFormat::kSqlDump;  // asserts dump text
   auto w = makeWorker(wc);
   std::int32_t chunk = populatedChunk_;
-  std::string q = "SELECT COUNT(*) AS QS0_COUNT FROM Object_" +
-                  std::to_string(chunk) + ";\n";
+  std::string q =
+      chunkRequest(chunk, "SELECT COUNT(*) AS QS0_COUNT FROM Object");
   auto dump = runQuery(*w, chunk, q);
   ASSERT_TRUE(dump.isOk()) << dump.status().toString();
   EXPECT_NE(dump->find("CREATE TABLE"), std::string::npos);
@@ -93,8 +101,7 @@ TEST_F(WorkerTest, ExecutesChunkQueryAndPublishesDump) {
 TEST_F(WorkerTest, DefaultWorkerPublishesBinaryPayload) {
   auto w = makeWorker();
   std::int32_t chunk = populatedChunk_;
-  std::string q = "SELECT objectId, ra_PS FROM Object_" +
-                  std::to_string(chunk) + ";\n";
+  std::string q = chunkRequest(chunk, "SELECT objectId, ra_PS FROM Object");
   auto payload = runQuery(*w, chunk, q);
   ASSERT_TRUE(payload.isOk()) << payload.status().toString();
   ASSERT_TRUE(sql::isBinaryTablePayload(*payload));
@@ -110,7 +117,9 @@ TEST_F(WorkerTest, DefaultWorkerPublishesBinaryPayload) {
 
 TEST_F(WorkerTest, RejectsUnknownChunk) {
   auto w = makeWorker();
-  EXPECT_EQ(w->writeFile(xrd::makeQueryPath(999999), "SELECT 1;").code(),
+  EXPECT_EQ(w->writeFile(xrd::makeQueryPath(999999),
+                         chunkRequest(999999, "SELECT COUNT(*) FROM Object"))
+                .code(),
             util::ErrorCode::kNotFound);
 }
 
@@ -123,12 +132,19 @@ TEST_F(WorkerTest, RejectsNonQueryPath) {
 }
 
 TEST_F(WorkerTest, BadSqlPublishesError) {
-  auto w = makeWorker();
+  // The template is parsed when the request is admitted, so bad SQL fails
+  // the write itself: nothing is queued, run or published.
+  WorkerConfig wc;
+  wc.resultTimeout = std::chrono::milliseconds(200);
+  auto w = makeWorker(wc);
   std::int32_t chunk = populatedChunk_;
-  std::string q = "SELECT FROM WHERE;";
-  ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), q).isOk());
-  auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
-  EXPECT_FALSE(r.isOk());
+  std::string q = chunkRequest(chunk, "SELECT FROM WHERE");
+  util::Status written = w->writeFile(xrd::makeQueryPath(chunk), q);
+  EXPECT_EQ(written.code(), util::ErrorCode::kInvalidArgument)
+      << written.toString();
+  EXPECT_EQ(w->queuedTasks(), 0u);
+  EXPECT_EQ(w->tasksExecuted(), 0u);
+  EXPECT_FALSE(w->readFile(xrd::makeResultPath(util::Md5::hex(q))).isOk());
 }
 
 TEST_F(WorkerTest, UnrewrittenAreaspecFailsLoudly) {
@@ -136,8 +152,8 @@ TEST_F(WorkerTest, UnrewrittenAreaspecFailsLoudly) {
   // must fail on the worker, not silently return everything.
   auto w = makeWorker();
   std::int32_t chunk = populatedChunk_;
-  std::string q = "SELECT COUNT(*) FROM Object_" + std::to_string(chunk) +
-                  " WHERE qserv_areaspec_box(0,0,1,1);";
+  std::string q = chunkRequest(
+      chunk, "SELECT COUNT(*) FROM Object WHERE qserv_areaspec_box(0,0,1,1)");
   ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), q).isOk());
   EXPECT_FALSE(w->readFile(xrd::makeResultPath(util::Md5::hex(q))).isOk());
 }
@@ -147,8 +163,7 @@ TEST_F(WorkerTest, ResultsAreOneShot) {
   wc.resultTimeout = std::chrono::milliseconds(200);
   auto w = makeWorker(wc);
   std::int32_t chunk = populatedChunk_;
-  std::string q = "SELECT COUNT(*) AS c FROM Object_" +
-                  std::to_string(chunk) + ";";
+  std::string q = chunkRequest(chunk, "SELECT COUNT(*) AS c FROM Object");
   auto first = runQuery(*w, chunk, q);
   ASSERT_TRUE(first.isOk());
   // The result was consumed; a second read times out.
@@ -164,10 +179,11 @@ TEST_F(WorkerTest, SubchunkBuildAndCleanup) {
   std::string scTable = datagen::subChunkTableName("Object", chunk, sc);
   std::string ovTable =
       datagen::subChunkTableName("ObjectFullOverlap", chunk, sc);
-  std::string q = "-- SUBCHUNKS: " + std::to_string(sc) + "\n" +
-                  "SELECT COUNT(*) AS c FROM " + scTable + " AS o1, " +
-                  ovTable + " AS o2;\n";
-  auto dump = runQuery(*w, chunk, q);
+  BatchRequest request;
+  request.bindings = {TableBinding::kSubChunk, TableBinding::kFullOverlap};
+  request.templateSql = "SELECT COUNT(*) AS c FROM Object AS o1, Object AS o2";
+  request.chunks.push_back(BatchChunk{chunk, {sc}});
+  auto dump = runQuery(*w, chunk, encodeBatchRequest(request));
   ASSERT_TRUE(dump.isOk()) << dump.status().toString();
   // Tables are dropped after the task (no caching by default, like the
   // paper's implementation).
@@ -177,19 +193,17 @@ TEST_F(WorkerTest, SubchunkBuildAndCleanup) {
 
 TEST_F(WorkerTest, SubchunkRowsPartitionTheChunk) {
   // The per-subchunk counts the worker publishes sum to the chunk's rows
-  // (build correctness): executeScript unions one row per subchunk.
+  // (build correctness): the template binds one statement per subchunk, and
+  // their results union into one row per subchunk.
   auto w = makeWorker();
   std::int32_t chunk = populatedChunk_;
   sphgeom::Chunker chunker = config_.makeChunker();
   auto subChunks = chunker.subChunksOf(chunk);
-  std::vector<std::string> ids;
-  for (auto sc : subChunks) ids.push_back(std::to_string(sc));
-  std::string q = "-- SUBCHUNKS: " + util::join(ids, ", ") + "\n";
-  for (auto sc : subChunks) {
-    q += "SELECT COUNT(*) AS c FROM " +
-         datagen::subChunkTableName("Object", chunk, sc) + ";\n";
-  }
-  auto payload = runQuery(*w, chunk, q);
+  BatchRequest request;
+  request.bindings = {TableBinding::kSubChunk};
+  request.templateSql = "SELECT COUNT(*) AS c FROM Object";
+  request.chunks.push_back(BatchChunk{chunk, subChunks});
+  auto payload = runQuery(*w, chunk, encodeBatchRequest(request));
   ASSERT_TRUE(payload.isOk()) << payload.status().toString();
   auto counts = sql::decodeTableBinary(*payload);
   ASSERT_TRUE(counts.isOk()) << counts.status().toString();
@@ -209,8 +223,8 @@ TEST_F(WorkerTest, ObservablesScaleWithRowScale) {
   wc.rowScale = 100.0;
   auto w = makeWorker(wc);
   std::int32_t chunk = populatedChunk_;
-  std::string q = "SELECT COUNT(*) AS c FROM Object_" +
-                  std::to_string(chunk) + " WHERE ra_PS > 0;";
+  std::string q =
+      chunkRequest(chunk, "SELECT COUNT(*) AS c FROM Object WHERE ra_PS > 0");
   auto dump = runQuery(*w, chunk, q);
   ASSERT_TRUE(dump.isOk()) << dump.status().toString();
   auto obs = decodeObservables(*dump);
@@ -233,9 +247,9 @@ TEST_F(WorkerTest, ParallelTasksAcrossSlots) {
   std::vector<std::string> queries;
   for (int i = 0; i < 12; ++i) {
     std::int32_t chunk = chunks_[static_cast<std::size_t>(i) % chunks_.size()];
-    queries.push_back("SELECT COUNT(*) AS c FROM Object_" +
-                      std::to_string(chunk) + " WHERE ra_PS > " +
-                      std::to_string(i) + ";");
+    queries.push_back(chunkRequest(
+        chunk, "SELECT COUNT(*) AS c FROM Object WHERE ra_PS > " +
+                   std::to_string(i)));
     ASSERT_TRUE(
         w->writeFile(xrd::makeQueryPath(chunk), queries.back()).isOk());
   }
@@ -256,9 +270,9 @@ TEST_F(WorkerTest, SharedScanGroupChargesIoOnce) {
   // Three distinct scans of the same chunk queued together.
   std::vector<std::string> queries;
   for (int i = 0; i < 3; ++i) {
-    queries.push_back("SELECT COUNT(*) AS c FROM Object_" +
-                      std::to_string(chunk) + " WHERE ra_PS > " +
-                      std::to_string(i * 100) + ";");
+    queries.push_back(chunkRequest(
+        chunk, "SELECT COUNT(*) AS c FROM Object WHERE ra_PS > " +
+                   std::to_string(i * 100)));
   }
   for (const auto& q : queries) {
     ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), q).isOk());
@@ -287,9 +301,9 @@ TEST_F(WorkerTest, FifoChargesEveryScan) {
   // Predicates must intersect the chunk's declination range: a scan whose
   // range misses it entirely is zone-map pruned and pays no I/O at all.
   for (int i = 0; i < 3; ++i) {
-    queries.push_back("SELECT COUNT(*) AS c FROM Object_" +
-                      std::to_string(chunk) + " WHERE decl_PS > " +
-                      std::to_string(-100 - i * 100) + ";");
+    queries.push_back(chunkRequest(
+        chunk, "SELECT COUNT(*) AS c FROM Object WHERE decl_PS > " +
+                   std::to_string(-100 - i * 100)));
   }
   for (const auto& q : queries) {
     ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), q).isOk());
@@ -313,17 +327,17 @@ TEST_F(WorkerTest, InteractiveClassBypassesScanGroup) {
   wc.startPaused = true;
   auto w = makeWorker(wc);
   std::int32_t chunk = populatedChunk_;
-  // Two header-less scans plus one interactive-classed query, all on the
+  // Two scan-classed queries plus one interactive-classed query, all on the
   // same chunk. The interactive task rides the priority lane: it must not
   // join the scan group, so it pays its own read while the group shares one.
   std::vector<std::string> queries = {
-      "SELECT COUNT(*) AS c FROM Object_" + std::to_string(chunk) +
-          " WHERE decl_PS > -100;",
-      "SELECT COUNT(*) AS c FROM Object_" + std::to_string(chunk) +
-          " WHERE decl_PS > -200;",
-      classHeaderLine(QueryClass::kInteractive) +
-          "SELECT COUNT(*) AS c FROM Object_" + std::to_string(chunk) +
-          " WHERE decl_PS > -300;",
+      chunkRequest(chunk,
+                   "SELECT COUNT(*) AS c FROM Object WHERE decl_PS > -100"),
+      chunkRequest(chunk,
+                   "SELECT COUNT(*) AS c FROM Object WHERE decl_PS > -200"),
+      chunkRequest(chunk,
+                   "SELECT COUNT(*) AS c FROM Object WHERE decl_PS > -300",
+                   QueryClass::kInteractive),
   };
   for (const auto& q : queries) {
     ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), q).isOk());
@@ -357,8 +371,8 @@ TEST_F(WorkerTest, AbandonedGroupLeaderDoesNotEatIoCharge) {
   std::string batchId = util::Md5::hex(wire);
   ASSERT_TRUE(w->writeFile(xrd::makeBatchPath(batchId), wire).isOk());
   // A second scan of the same chunk queues behind it, into the same group.
-  std::string survivor = "SELECT COUNT(*) AS c FROM Object_" +
-                         std::to_string(chunk) + " WHERE decl_PS > -600;";
+  std::string survivor = chunkRequest(
+      chunk, "SELECT COUNT(*) AS c FROM Object WHERE decl_PS > -600");
   ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), survivor).isOk());
   // Abandon the batch before any task is claimed: the leader is skipped.
   ASSERT_TRUE(w->writeFile(xrd::makeBatchCancelPath(batchId), "").isOk());
@@ -447,11 +461,49 @@ TEST_F(WorkerTest, BatchWithBadTemplateIsRejected) {
   EXPECT_EQ(w->queuedTasks(), 0u);
 }
 
+TEST_F(WorkerTest, Query2RequestMustHoldExactlyThePathChunk) {
+  // /query2/<c> carries a one-chunk request for chunk c: no chunks, two
+  // chunks, or another chunk (even one this worker exports) is rejected.
+  auto w = makeWorker();
+  ASSERT_GE(chunks_.size(), 2u);
+  std::int32_t a = chunks_[0], b = chunks_[1];
+  const std::string sql = "SELECT COUNT(*) AS c FROM Object";
+  for (const BatchRequest& request :
+       {countBatch({}, sql, 0), countBatch({a, b}, sql, 0),
+        countBatch({a, a}, sql, 0), countBatch({b}, sql, 0)}) {
+    util::Status written =
+        w->writeFile(xrd::makeQueryPath(a), encodeBatchRequest(request));
+    EXPECT_EQ(written.code(), util::ErrorCode::kInvalidArgument)
+        << written.toString();
+  }
+  EXPECT_EQ(w->queuedTasks(), 0u);
+  EXPECT_EQ(w->tasksExecuted(), 0u);
+}
+
+TEST_F(WorkerTest, NonSelectTemplateIsRejectedAtWrite) {
+  // A chunk template is one SELECT; anything else — including a SELECT
+  // followed by another statement — is refused before it can run.
+  auto w = makeWorker();
+  std::int32_t chunk = populatedChunk_;
+  const std::string table = datagen::chunkTableName("Object", chunk);
+  for (const std::string& sql :
+       {std::string("DROP TABLE Object"),
+        std::string("SELECT COUNT(*) AS c FROM Object; DROP TABLE Object")}) {
+    util::Status written =
+        w->writeFile(xrd::makeQueryPath(chunk), chunkRequest(chunk, sql));
+    EXPECT_EQ(written.code(), util::ErrorCode::kInvalidArgument)
+        << written.toString();
+  }
+  EXPECT_EQ(w->queuedTasks(), 0u);
+  EXPECT_EQ(w->tasksExecuted(), 0u);
+  EXPECT_TRUE(db_->hasTable(table));
+}
+
 TEST_F(WorkerTest, ShutdownRejectsNewWork) {
   auto w = makeWorker();
   w->shutdown();
-  EXPECT_FALSE(
-      w->writeFile(xrd::makeQueryPath(chunks_[0]), "SELECT 1;").isOk());
+  std::string q = chunkRequest(chunks_[0], "SELECT COUNT(*) FROM Object");
+  EXPECT_FALSE(w->writeFile(xrd::makeQueryPath(chunks_[0]), q).isOk());
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -132,67 +131,6 @@ TEST(Trace, RegistryCreateFindRelease) {
   EXPECT_EQ(reg.find(trace->id()), nullptr);
   // The released trace lives on for its owners.
   EXPECT_EQ(trace->label(), "registry test");
-}
-
-TEST(Trace, HeaderRoundTrip) {
-  std::string header = traceHeaderLine(123456789);
-  EXPECT_EQ(header, "-- QSERV-TRACE: 123456789\n");
-  auto id = parseTraceHeader(header + "SELECT * FROM Object_1234;");
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(*id, 123456789u);
-}
-
-TEST(Trace, HeaderParsingScansAllLeadingComments) {
-  // The trace header may come before or after other comment headers
-  // (e.g. -- SUBCHUNKS:); both orders must parse.
-  std::string afterSubchunks =
-      "-- SUBCHUNKS: 1,2,3\n-- QSERV-TRACE: 42\nSELECT 1;";
-  auto id = parseTraceHeader(afterSubchunks);
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(*id, 42u);
-
-  std::string beforeSubchunks =
-      "-- QSERV-TRACE: 42\n-- SUBCHUNKS: 1,2,3\nSELECT 1;";
-  id = parseTraceHeader(beforeSubchunks);
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(*id, 42u);
-}
-
-TEST(Trace, HeaderParsingRejectsNonHeaders) {
-  EXPECT_FALSE(parseTraceHeader("SELECT 1;").has_value());
-  // Comments stop at the first non-comment line: a trace marker inside the
-  // SQL body (e.g. a string literal) is not a header.
-  EXPECT_FALSE(
-      parseTraceHeader("SELECT 1;\n-- QSERV-TRACE: 7\n").has_value());
-  EXPECT_FALSE(parseTraceHeader("-- QSERV-TRACE: nope\nSELECT 1;").has_value());
-  EXPECT_FALSE(parseTraceHeader("").has_value());
-  EXPECT_FALSE(parseTraceHeader("-- QSERV-TRACE: ").has_value());
-}
-
-TEST(Trace, HeaderParsingRejectsGarbageAndOverflow) {
-  // Mixed digits and letters anywhere in the id reject the whole header.
-  EXPECT_FALSE(parseTraceHeader("-- QSERV-TRACE: 12x4\nSELECT 1;").has_value());
-  EXPECT_FALSE(parseTraceHeader("-- QSERV-TRACE: -7\nSELECT 1;").has_value());
-  EXPECT_FALSE(parseTraceHeader("-- QSERV-TRACE: 1 2\nSELECT 1;").has_value());
-
-  // uint64 max parses; one more (and anything longer) must not wrap around
-  // to a small id that would attach spans to an unrelated query.
-  auto max = parseTraceHeader("-- QSERV-TRACE: 18446744073709551615\nSELECT 1;");
-  ASSERT_TRUE(max.has_value());
-  EXPECT_EQ(*max, std::numeric_limits<std::uint64_t>::max());
-  EXPECT_FALSE(
-      parseTraceHeader("-- QSERV-TRACE: 18446744073709551616\nSELECT 1;")
-          .has_value());
-  EXPECT_FALSE(
-      parseTraceHeader("-- QSERV-TRACE: 99999999999999999999\nSELECT 1;")
-          .has_value());
-}
-
-TEST(Trace, HeaderParsingFirstDuplicateWins) {
-  auto id = parseTraceHeader(
-      "-- QSERV-TRACE: 11\n-- QSERV-TRACE: 22\nSELECT 1;");
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(*id, 11u);
 }
 
 TEST(Trace, ChromeJsonEscapesControlCharacters) {
